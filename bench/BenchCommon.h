@@ -48,8 +48,8 @@ inline void applyThreadsFlag(const CommandLine &Args) {
 }
 
 /// Applies the shared simulation-cache flags: --cache-dir=<dir> attaches
-/// the persistent tier of the process-global SimCache (and is also where
-/// the dataset CSVs go), --no-sim-cache disables the cache entirely so
+/// the persistent tier of the process-global SimCache, which is where
+/// repeated runs get their labels back; --no-sim-cache disables it so
 /// the cache-on/cache-off byte-identity invariant can be spot-checked on
 /// any bench. Without either flag the global cache keeps its environment
 /// defaults (METAOPT_SIM_CACHE / METAOPT_CACHE_DIR).
@@ -65,9 +65,9 @@ inline void applySimCacheFlags(const CommandLine &Args) {
   }
 }
 
-/// Builds the standard pipeline; --quick shrinks the corpus and disables
-/// the disk cache, --threads=<n> sets the parallelism, --cache-dir /
-/// --no-sim-cache control the simulation cache.
+/// Builds the standard pipeline; --quick shrinks the corpus,
+/// --threads=<n> sets the parallelism, --cache-dir / --no-sim-cache
+/// control the simulation cache.
 inline std::unique_ptr<Pipeline> makePipeline(const CommandLine &Args) {
   applyThreadsFlag(Args);
   applySimCacheFlags(Args);
@@ -75,9 +75,6 @@ inline std::unique_ptr<Pipeline> makePipeline(const CommandLine &Args) {
   if (Args.has("quick")) {
     Options.Corpus.MinLoopsPerBenchmark = 6;
     Options.Corpus.MaxLoopsPerBenchmark = 10;
-    Options.CacheDir = "";
-  } else if (Args.has("cache-dir")) {
-    Options.CacheDir = Args.getString("cache-dir");
   }
   return std::make_unique<Pipeline>(Options);
 }

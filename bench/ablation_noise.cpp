@@ -24,7 +24,6 @@ int main(int Argc, char **Argv) {
                    "label churn and accuracy vs measurement noise");
 
   PipelineOptions Base;
-  Base.CacheDir = ""; // Each noise level relabels; caching wrong here.
   if (Args.has("quick")) {
     Base.Corpus.MinLoopsPerBenchmark = 6;
     Base.Corpus.MaxLoopsPerBenchmark = 10;

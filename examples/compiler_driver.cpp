@@ -139,7 +139,6 @@ int main(int Argc, char **Argv) {
     PipelineOptions Options;
     Options.Corpus.MinLoopsPerBenchmark = 6;
     Options.Corpus.MaxLoopsPerBenchmark = 10;
-    Options.CacheDir = "";
     Pipeline Pipe(Options);
     std::printf("Training the %s classifier on %zu labeled loops...\n\n",
                 ClassifierName.c_str(), Pipe.dataset(EnableSwp).size());

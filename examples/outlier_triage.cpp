@@ -34,7 +34,6 @@ int main(int Argc, char **Argv) {
   if (!Args.has("full")) {
     Options.Corpus.MinLoopsPerBenchmark = 6;
     Options.Corpus.MaxLoopsPerBenchmark = 10;
-    Options.CacheDir = "";
   }
   Pipeline Pipe(Options);
   const Dataset &Data = Pipe.dataset(/*EnableSwp=*/false);

@@ -45,7 +45,6 @@ int main(int Argc, char **Argv) {
     // A slice of the corpus: fewer loops per benchmark, same diversity.
     Options.Corpus.MinLoopsPerBenchmark = 6;
     Options.Corpus.MaxLoopsPerBenchmark = 10;
-    Options.CacheDir = ""; // Quick runs skip the disk cache.
   }
   Pipeline Pipe(Options);
 

@@ -3,7 +3,6 @@
 #include "core/driver/Pipeline.h"
 
 #include <cstdio>
-#include <filesystem>
 
 using namespace metaopt;
 
@@ -24,28 +23,6 @@ LabelingOptions Pipeline::labelingOptions(bool EnableSwp) const {
   return Labeling;
 }
 
-std::string Pipeline::cachePath(bool EnableSwp) const {
-  if (Options.CacheDir.empty())
-    return "";
-  return Options.CacheDir + "/dataset_" + Options.Machine.Name + "_" +
-         (EnableSwp ? "swp" : "noswp") + "_" +
-         std::to_string(Options.Corpus.Seed) + ".csv";
-}
-
-/// Reads a whole file; empty string when it does not exist.
-static std::string readFileIfPresent(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return "";
-  std::string Content;
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Content.append(Buffer, Read);
-  std::fclose(File);
-  return Content;
-}
-
 static bool writeFile(const std::string &Path, const std::string &Content) {
   std::FILE *File = std::fopen(Path.c_str(), "wb");
   if (!File)
@@ -61,25 +38,8 @@ const Dataset &Pipeline::dataset(bool EnableSwp) {
   if (Slot)
     return *Slot;
 
-  std::string Path = cachePath(EnableSwp);
-  if (!Path.empty()) {
-    std::string Cached = readFileIfPresent(Path);
-    if (!Cached.empty()) {
-      if (std::optional<Dataset> Loaded = Dataset::fromCsv(Cached)) {
-        Slot = std::move(*Loaded);
-        return *Slot;
-      }
-    }
-  }
-
   size_t &TotalLoops = EnableSwp ? TotalLoopsSwp : TotalLoopsNoSwp;
   Slot = collectLabels(corpus(), labelingOptions(EnableSwp), &TotalLoops);
-
-  if (!Path.empty()) {
-    std::error_code Ignored;
-    std::filesystem::create_directories(Options.CacheDir, Ignored);
-    writeFile(Path, Slot->toCsv());
-  }
   return *Slot;
 }
 

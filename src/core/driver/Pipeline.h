@@ -8,9 +8,10 @@
 /// \file
 /// One-stop orchestration used by the examples and the benchmark
 /// harnesses: builds the corpus, collects labels for the SWP-off and
-/// SWP-on configurations (caching the datasets as CSV on disk, since
-/// labeling is by far the most expensive step — a week of machine time in
-/// the paper), and hands out the reduced feature set.
+/// SWP-on configurations, and hands out the reduced feature set. Labeling
+/// is by far the most expensive step (a week of machine time in the
+/// paper); repeated runs are served by the simulation cache
+/// (cache/SimCache.h), whose key covers every input of a simulation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +29,6 @@ struct PipelineOptions {
   CorpusOptions Corpus;
   MachineConfig Machine = itanium2Config();
   MeasurementProtocol Protocol;
-  /// Directory for cached label CSVs; empty disables caching.
-  std::string CacheDir = ".metaopt-cache";
 };
 
 /// Lazily materializes the corpus and the labeled datasets.
@@ -41,12 +40,12 @@ public:
   const std::vector<Benchmark> &corpus();
 
   /// The labeled dataset for the given configuration. The first call
-  /// labels the whole corpus (or loads the disk cache); later calls are
-  /// free. Total raw loop count available via totalLoops().
+  /// labels the whole corpus; later calls are free. Total raw loop count
+  /// available via totalLoops().
   const Dataset &dataset(bool EnableSwp);
 
-  /// Raw (pre-filter) loop count for the configuration; 0 when the
-  /// dataset came from the disk cache.
+  /// Raw (pre-filter) loop count for the configuration; 0 before the
+  /// dataset is labeled.
   size_t totalLoops(bool EnableSwp) const;
 
   /// Labeling options used for the given configuration.
@@ -58,8 +57,6 @@ public:
   bool exportDatasetCsv(bool EnableSwp, const std::string &Path);
 
 private:
-  std::string cachePath(bool EnableSwp) const;
-
   PipelineOptions Options;
   std::optional<std::vector<Benchmark>> Corpus;
   std::optional<Dataset> DataNoSwp, DataSwp;

@@ -23,6 +23,7 @@
 #include "sched/ModuloScheduler.h"
 #include "sched/ScheduleValidate.h"
 #include "serve/ModelBundle.h"
+#include "sim/SimCompile.h"
 #include "sim/Simulator.h"
 #include "support/Rng.h"
 #include "transform/MemoryOpt.h"
@@ -497,6 +498,19 @@ void metaopt::oracleSimCache(const Loop &L, std::vector<OracleFailure> &Out) {
     fail(Out, "sim-cache",
          "unexpected hit/miss pattern: " + std::to_string(Stats.Hits) +
              " hits, " + std::to_string(Stats.Misses) + " misses");
+
+  // The compiled labeling path prices the same cost model over bodies
+  // scheduled by the arena kernels; it must agree with simulateLoop.
+  for (bool EnableSwp : {false, true}) {
+    LoopSimPlan Plan = compileLoopSim(L, Itanium2, Ctx, EnableSwp);
+    for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
+      if (!(evaluatePlan(Plan, Factor, Itanium2, Ctx) ==
+            simulateLoop(L, Factor, Itanium2, Ctx, EnableSwp)))
+        fail(Out, "sim-cache",
+             "compiled plan differs from simulateLoop (factor " +
+                 std::to_string(Factor) +
+                 (EnableSwp ? ", swp)" : ", no swp)"));
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -572,10 +586,22 @@ struct BundleFixture {
   }
 };
 
+/// Trains a random forest on the global pool, so it must not first be
+/// built inside a pool task (see prepareOracles).
+const BundleFixture &bundleFixture() {
+  static const BundleFixture Fixture;
+  return Fixture;
+}
+
 } // namespace
 
+void metaopt::prepareOracles(const OracleOptions &Options) {
+  if (Options.CheckBundle)
+    bundleFixture();
+}
+
 void metaopt::oracleBundle(const Loop &L, std::vector<OracleFailure> &Out) {
-  static const BundleFixture Fixture;
+  const BundleFixture &Fixture = bundleFixture();
   if (!Fixture.Error.empty()) {
     fail(Out, "bundle", Fixture.Error);
     return;

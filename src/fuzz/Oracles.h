@@ -24,8 +24,9 @@
 ///  - memory-opt: optimizeMemory preserves final state;
 ///  - list-schedule / modulo-schedule: every schedule passes its
 ///    validator, and the modulo II respects the resource lower bound;
-///  - sim-cache: the content key is stable under reparse and cached
-///    results are byte-identical to fresh simulation;
+///  - sim-cache: the content key is stable under reparse, and cached
+///    results and compiled plans (sim/SimCompile.h) at every factor are
+///    byte-identical to fresh simulation;
 ///  - bundle: a serialized + reparsed model bundle predicts identically
 ///    to the original on the loop's feature vector;
 ///  - static-claims: every claim the symbolic analysis
@@ -98,6 +99,14 @@ void checkClaimsAgainstExecution(const Loop &L,
                                  const std::vector<StaticClaim> &Claims,
                                  uint64_t Seed,
                                  std::vector<OracleFailure> &Out);
+
+/// Builds the process-wide fixtures the oracles selected by \p Options
+/// share (the bundle oracle's trained models). Call it before running
+/// oracles inside pool tasks: a thread building a fixture under its
+/// static init guard helps run other queued tasks while it waits for its
+/// own parallel work, and a task needing the same fixture then waits on
+/// that thread forever.
+void prepareOracles(const OracleOptions &Options = {});
 
 /// Runs the oracles selected by \p Options on \p L. The loop must be
 /// verifier-clean (checked: a malformed input is itself reported as a

@@ -3,31 +3,18 @@
 #include "sched/IterativeModulo.h"
 
 #include "analysis/Recurrence.h"
+#include "sched/ListScheduler.h"
 #include "sched/ModuloScheduler.h"
+#include "sched/ScheduleValidate.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 using namespace metaopt;
 
 namespace {
-
-/// Dependence delay under machine latencies (the schedule-time rule:
-/// time(dst) >= time(src) + delay - II * distance).
-int edgeDelay(const DepEdge &Edge, const Loop &L,
-              const MachineModel &Machine) {
-  switch (Edge.Kind) {
-  case DepKind::Data:
-    return Machine.latency(L.body()[Edge.Src].Op);
-  case DepKind::Memory:
-    return 1;
-  case DepKind::Control:
-    return Edge.Distance ? Machine.latency(L.body()[Edge.Src].Op) : 0;
-  }
-  return 0;
-}
-
 
 /// The modulo reservation table: per (cycle mod II) slot, which nodes
 /// hold which unit, so eviction can identify victims.
@@ -149,18 +136,13 @@ metaopt::iterativeModuloSchedule(const Loop &L, const DependenceGraph &DG,
       if (Edge.Distance != 0)
         continue;
       Height[Node] = std::max(Height[Node],
-                              edgeDelay(Edge, L, Machine) +
+                              machineEdgeDelay(Edge, L, Machine) +
                                   Height[Edge.Dst]);
     }
   }
   std::vector<uint32_t> Priority(N);
-  for (uint32_t Node = 0; Node < N; ++Node)
-    Priority[Node] = Node;
-  std::sort(Priority.begin(), Priority.end(), [&](uint32_t A, uint32_t B) {
-    if (Height[A] != Height[B])
-      return Height[A] > Height[B];
-    return A < B;
-  });
+  std::iota(Priority.begin(), Priority.end(), 0);
+  std::sort(Priority.begin(), Priority.end(), HeightPriority{Height});
 
   for (int II = MinII; II <= MinII * Options.MaxIIFactor; ++II) {
     std::vector<int> Time(N, -1);
@@ -186,9 +168,9 @@ metaopt::iterativeModuloSchedule(const Loop &L, const DependenceGraph &DG,
         const DepEdge &Edge = DG.edge(EdgeIdx);
         if (Edge.Src == Node || Time[Edge.Src] < 0)
           continue;
-        Earliest = std::max(Earliest,
-                            Time[Edge.Src] + edgeDelay(Edge, L, Machine) -
-                                II * static_cast<int>(Edge.Distance));
+        Earliest = std::max(Earliest, Time[Edge.Src] +
+                                          machineEdgeDelay(Edge, L, Machine) -
+                                          II * static_cast<int>(Edge.Distance));
       }
       // Never retry the same cycle for the same node back to back.
       if (Earliest <= LastTried[Node])
@@ -225,7 +207,7 @@ metaopt::iterativeModuloSchedule(const Loop &L, const DependenceGraph &DG,
         uint32_t Succ = Edge.Dst;
         if (Succ == Node || Time[Succ] < 0)
           continue;
-        int Needed = Chosen + edgeDelay(Edge, L, Machine) -
+        int Needed = Chosen + machineEdgeDelay(Edge, L, Machine) -
                      II * static_cast<int>(Edge.Distance);
         if (Time[Succ] < Needed) {
           Table.remove(Succ, Time[Succ]);
@@ -238,7 +220,7 @@ metaopt::iterativeModuloSchedule(const Loop &L, const DependenceGraph &DG,
         const DepEdge &Edge = DG.edge(EdgeIdx);
         if (Edge.Src != Edge.Dst || Edge.Distance == 0)
           continue;
-        if (edgeDelay(Edge, L, Machine) >
+        if (machineEdgeDelay(Edge, L, Machine) >
             II * static_cast<int>(Edge.Distance)) {
           Failed = true; // II too small for this self-recurrence.
           break;
@@ -285,7 +267,7 @@ metaopt::validateModuloSchedule(const Loop &L, const DependenceGraph &DG,
   }
 
   for (const DepEdge &Edge : DG.edges()) {
-    int Needed = Sched.CycleOf[Edge.Src] + edgeDelay(Edge, L, Machine) -
+    int Needed = Sched.CycleOf[Edge.Src] + machineEdgeDelay(Edge, L, Machine) -
                  Sched.II * static_cast<int>(Edge.Distance);
     if (Sched.CycleOf[Edge.Dst] < Needed)
       Errors.push_back("dependence " + std::to_string(Edge.Src) + "->" +

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 using namespace metaopt;
 
@@ -14,56 +15,38 @@ using namespace metaopt;
 // validateListSchedule re-derives the same constraints independently of
 // this scheduler's bookkeeping.
 
-namespace {
-
-/// Per-cycle resource bookkeeping.
-class ResourceTable {
-public:
-  explicit ResourceTable(const MachineModel &Machine) : Machine(Machine) {}
-
-  /// Tries to issue \p Instr in the current cycle; returns false when
-  /// the required unit pool or the issue width is exhausted.
-  bool tryIssue(const Instruction &Instr) {
-    // Folded loop control and paired wide-load halves are free.
-    if (!occupiesIssueSlot(Instr))
-      return true;
-    Opcode Op = Instr.Op;
-    if (Issued >= Machine.issueWidth())
-      return false;
-    UnitKind Primary = Machine.unitFor(Op);
-    if (take(Primary)) {
-      ++Issued;
-      return true;
+void metaopt::listScheduleHeights(const Loop &L, const DependenceGraph &DG,
+                                  const std::vector<int> &EffectiveLatency,
+                                  std::vector<int> &Height) {
+  uint32_t N = static_cast<uint32_t>(DG.numNodes());
+  Height.assign(N, 0);
+  for (uint32_t Node = N; Node-- > 0;) {
+    Height[Node] = EffectiveLatency[Node];
+    for (uint32_t EdgeIdx : DG.successors(Node)) {
+      const DepEdge &Edge = DG.edge(EdgeIdx);
+      if (!schedEdgeEnforced(L, Edge))
+        continue;
+      int Delay = schedEdgeDelay(Edge, L, EffectiveLatency);
+      Height[Node] = std::max(Height[Node], Delay + Height[Edge.Dst]);
     }
-    // A-type integer operations may fall over to a free memory slot.
-    if (Primary == UnitKind::Int && Machine.canUseMemUnit(Op) &&
-        take(UnitKind::Mem)) {
-      ++Issued;
-      return true;
-    }
-    return false;
   }
+}
 
-  void nextCycle() {
-    Used.fill(0);
-    Issued = 0;
-  }
-
-private:
-  bool take(UnitKind Kind) {
-    unsigned Index = static_cast<unsigned>(Kind);
-    if (Used[Index] >= Machine.unitCount(Kind))
-      return false;
-    ++Used[Index];
-    return true;
-  }
-
-  const MachineModel &Machine;
-  std::array<int, NumUnitKinds> Used = {};
-  int Issued = 0;
-};
-
-} // namespace
+uint32_t metaopt::finalizeListSchedule(const std::vector<uint32_t> &CycleOf,
+                                       std::vector<uint32_t> &Order) {
+  uint32_t N = static_cast<uint32_t>(CycleOf.size());
+  Order.resize(N);
+  std::iota(Order.begin(), Order.end(), 0);
+  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    if (CycleOf[A] != CycleOf[B])
+      return CycleOf[A] < CycleOf[B];
+    return A < B;
+  });
+  uint32_t LastCycle = 0;
+  for (uint32_t Node = 0; Node < N; ++Node)
+    LastCycle = std::max(LastCycle, CycleOf[Node]);
+  return LastCycle + 1;
+}
 
 Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
                                const MachineModel &Machine) {
@@ -78,21 +61,8 @@ Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
   };
 
   std::vector<int> EffectiveLatency = schedEffectiveLatencies(L, DG, Machine);
-
-  // Priority: longest latency-weighted path to any sink over enforced
-  // edges ("height"). Computed backwards in body order (a reverse
-  // topological order of the distance-0 subgraph).
-  std::vector<int> Height(N, 0);
-  for (uint32_t Node = static_cast<uint32_t>(N); Node-- > 0;) {
-    Height[Node] = EffectiveLatency[Node];
-    for (uint32_t EdgeIdx : DG.successors(Node)) {
-      const DepEdge &Edge = DG.edge(EdgeIdx);
-      if (!Enforced(Edge))
-        continue;
-      int Delay = schedEdgeDelay(Edge, L, EffectiveLatency);
-      Height[Node] = std::max(Height[Node], Delay + Height[Edge.Dst]);
-    }
-  }
+  std::vector<int> Height;
+  listScheduleHeights(L, DG, EffectiveLatency, Height);
 
   // Remaining enforced predecessor counts and earliest-issue constraints.
   std::vector<int> PredsLeft(N, 0);
@@ -119,12 +89,7 @@ Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
     for (uint32_t Node : Ready)
       if (!Done[Node] && EarliestCycle[Node] <= Cycle)
         Candidates.push_back(Node);
-    std::sort(Candidates.begin(), Candidates.end(),
-              [&](uint32_t A, uint32_t B) {
-                if (Height[A] != Height[B])
-                  return Height[A] > Height[B];
-                return A < B;
-              });
+    std::sort(Candidates.begin(), Candidates.end(), HeightPriority{Height});
 
     for (uint32_t Node : Candidates) {
       if (!Resources.tryIssue(L.body()[Node]))
@@ -150,18 +115,6 @@ Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
   }
   assert(Scheduled == N && "list scheduler failed to place all operations");
 
-  Result.Order.resize(N);
-  for (uint32_t Node = 0; Node < N; ++Node)
-    Result.Order[Node] = Node;
-  std::sort(Result.Order.begin(), Result.Order.end(),
-            [&](uint32_t A, uint32_t B) {
-              if (Result.CycleOf[A] != Result.CycleOf[B])
-                return Result.CycleOf[A] < Result.CycleOf[B];
-              return A < B;
-            });
-  uint32_t LastCycle = 0;
-  for (uint32_t Node = 0; Node < N; ++Node)
-    LastCycle = std::max(LastCycle, Result.CycleOf[Node]);
-  Result.Length = LastCycle + 1;
+  Result.Length = finalizeListSchedule(Result.CycleOf, Result.Order);
   return Result;
 }

@@ -3,6 +3,7 @@
 #include "sched/ModuloScheduler.h"
 
 #include "analysis/Recurrence.h"
+#include "sched/ScheduleValidate.h"
 
 #include <algorithm>
 #include <cassert>
@@ -81,19 +82,9 @@ SwpResult metaopt::moduloSchedule(const Loop &L, const DependenceGraph &DG,
       const DepEdge &Edge = DG.edge(EdgeIdx);
       if (Edge.Distance != 0)
         continue;
-      int Delay = 0;
-      switch (Edge.Kind) {
-      case DepKind::Data:
-        Delay = Machine.latency(L.body()[Edge.Src].Op);
-        break;
-      case DepKind::Memory:
-        Delay = 1;
-        break;
-      case DepKind::Control:
-        Delay = 0;
-        break;
-      }
-      Start[Node] = std::max(Start[Node], Start[Edge.Src] + Delay);
+      Start[Node] = std::max(Start[Node],
+                             Start[Edge.Src] +
+                                 machineEdgeDelay(Edge, L, Machine));
     }
     Makespan = std::max(Makespan,
                         Start[Node] + Machine.latency(L.body()[Node].Op));

@@ -29,8 +29,6 @@ struct Schedule {
   std::vector<uint32_t> Order;
   /// Cycle of the backedge branch plus one: the iteration issue length.
   uint32_t Length = 0;
-
-  bool valid() const { return !Order.empty(); }
 };
 
 /// Modulo-scheduling outcome (produced by the modulo scheduler).

@@ -57,6 +57,19 @@ int metaopt::schedEdgeDelay(const DepEdge &Edge, const Loop &L,
   return 0;
 }
 
+int metaopt::machineEdgeDelay(const DepEdge &Edge, const Loop &L,
+                              const MachineModel &Machine) {
+  switch (Edge.Kind) {
+  case DepKind::Data:
+    return Machine.latency(L.body()[Edge.Src].Op);
+  case DepKind::Memory:
+    return 1;
+  case DepKind::Control:
+    return Edge.Distance ? Machine.latency(L.body()[Edge.Src].Op) : 0;
+  }
+  return 0;
+}
+
 bool metaopt::schedEdgeEnforced(const Loop &L, const DepEdge &Edge) {
   if (Edge.Distance != 0)
     return false; // Cross-iteration constraints are the simulator's job.

@@ -43,6 +43,14 @@ std::vector<int> schedEffectiveLatencies(const Loop &L,
 int schedEdgeDelay(const DepEdge &Edge, const Loop &L,
                    const std::vector<int> &EffectiveLatency);
 
+/// Delay of \p Edge under raw machine latencies, the rule the modulo
+/// schedulers and the simulator's recurrence interval use: data waits out
+/// the producer's latency, memory ordering needs one cycle, and control
+/// ordering allows same-cycle issue within an iteration but serializes a
+/// whole operation (a call) across iterations.
+int machineEdgeDelay(const DepEdge &Edge, const Loop &L,
+                     const MachineModel &Machine);
+
 /// True when the list scheduler must honor \p Edge: every distance-0 edge
 /// except speculatable control edges, which are re-enforced only into the
 /// backedge branch (the loop cannot branch back before its work issued).

@@ -1,11 +1,12 @@
 //===- sim/SimCompile.cpp -------------------------------------------------===//
 //
-// The compiled simulation fast path. Every function here mirrors a piece
-// of sim/Simulator.cpp, sched/ListScheduler.cpp, or analysis/Liveness.cpp
-// and must stay bit-identical to it; tests/perf_test.cpp asserts
+// The arena kernels of the compiled simulation path: a list scheduler and
+// a liveness pass that reuse one scratch arena across a loop's bodies and
+// must produce exactly what sched/ListScheduler.cpp's listSchedule and
+// analysis/Liveness.cpp's analyzeLiveness produce (the cost model itself
+// is shared, in sim/Simulator.cpp). tests/perf_test.cpp asserts
 // compile+evaluate == simulateLoop over the synthetic corpus and the fuzz
-// seed corpus. Floating-point expression order and integer promotions are
-// copied literally from the reference — do not "clean them up".
+// seed corpus; tests/sim_golden_test.cpp pins simulateLoop itself.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,99 +14,18 @@
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/symbolic/Canonical.h"
-#include "analysis/symbolic/StrideInterval.h"
-#include "sched/ModuloScheduler.h"
+#include "sched/ListScheduler.h"
 #include "sched/ScheduleValidate.h"
-#include "transform/MemoryOpt.h"
 #include "transform/Unroller.h"
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
-#include <stdexcept>
 
 using namespace metaopt;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Cost-model terms, replicated from the file-local helpers in
-// sim/Simulator.cpp (they are deliberately not exported: the reference
-// stays self-contained so it can anchor the identity tests).
-//===----------------------------------------------------------------------===//
-
-double alignmentTax(unsigned Factor) {
-  bool PowerOfTwo = (Factor & (Factor - 1)) == 0;
-  return PowerOfTwo ? 0.0 : 1.4;
-}
-
-double icachePenaltyPerIteration(int CodeBytes, const MachineModel &Machine,
-                                 const SimContext &Ctx) {
-  int Effective = std::min(Ctx.EffectiveIcacheBytes,
-                           Machine.config().L1ICapacityBytes);
-  if (CodeBytes <= Effective)
-    return 0.0;
-  int OverflowLines = (CodeBytes - Effective +
-                       Machine.config().L1ILineBytes - 1) /
-                      Machine.config().L1ILineBytes;
-  return static_cast<double>(OverflowLines) *
-         Machine.config().L1IMissCycles;
-}
-
-double dcacheStallPerIteration(unsigned UnpairedLoads,
-                               const SimContext &Ctx) {
-  return UnpairedLoads * Ctx.DcacheMissRate * Ctx.DcacheMissCycles *
-         Ctx.DcacheVisibleFraction;
-}
-
-double exitPenaltyPerIteration(double Probability, unsigned Exits,
-                               const MachineModel &Machine) {
-  return Probability * Machine.config().MispredictPenalty + 0.15 * Exits;
-}
-
-/// Per-cycle resource bookkeeping; replica of the file-local ResourceTable
-/// in sched/ListScheduler.cpp.
-class ResourceTable {
-public:
-  explicit ResourceTable(const MachineModel &Machine) : Machine(Machine) {}
-
-  bool tryIssue(const Instruction &Instr) {
-    if (!occupiesIssueSlot(Instr))
-      return true;
-    Opcode Op = Instr.Op;
-    if (Issued >= Machine.issueWidth())
-      return false;
-    UnitKind Primary = Machine.unitFor(Op);
-    if (take(Primary)) {
-      ++Issued;
-      return true;
-    }
-    if (Primary == UnitKind::Int && Machine.canUseMemUnit(Op) &&
-        take(UnitKind::Mem)) {
-      ++Issued;
-      return true;
-    }
-    return false;
-  }
-
-  void nextCycle() {
-    Used.fill(0);
-    Issued = 0;
-  }
-
-private:
-  bool take(UnitKind Kind) {
-    unsigned Index = static_cast<unsigned>(Kind);
-    if (Used[Index] >= Machine.unitCount(Kind))
-      return false;
-    ++Used[Index];
-    return true;
-  }
-
-  const MachineModel &Machine;
-  std::array<int, NumUnitKinds> Used = {};
-  int Issued = 0;
-};
 
 /// Reusable buffers for one compileLoopSim call: eight factors plus the
 /// epilogue schedule through the same arena, so the inner scheduler and
@@ -173,27 +93,13 @@ void fastListSchedule(const Loop &L, const DependenceGraph &DG,
   std::vector<int> EffectiveLatency =
       schedEffectiveLatencies(L, DG, Machine);
 
-  S.Height.assign(N, 0);
-  for (uint32_t Node = static_cast<uint32_t>(N); Node-- > 0;) {
-    S.Height[Node] = EffectiveLatency[Node];
-    for (uint32_t EdgeIdx : DG.successors(Node)) {
-      const DepEdge &Edge = DG.edge(EdgeIdx);
-      if (!schedEdgeEnforced(L, Edge))
-        continue;
-      int Delay = schedEdgeDelay(Edge, L, EffectiveLatency);
-      S.Height[Node] = std::max(S.Height[Node], Delay + S.Height[Edge.Dst]);
-    }
-  }
+  listScheduleHeights(L, DG, EffectiveLatency, S.Height);
 
   // The static priority order: every per-cycle Candidates sort in the
   // reference is a filtered copy of this one permutation.
   S.Prio.resize(N);
   std::iota(S.Prio.begin(), S.Prio.end(), 0);
-  std::sort(S.Prio.begin(), S.Prio.end(), [&](uint32_t A, uint32_t B) {
-    if (S.Height[A] != S.Height[B])
-      return S.Height[A] > S.Height[B];
-    return A < B;
-  });
+  std::sort(S.Prio.begin(), S.Prio.end(), HeightPriority{S.Height});
 
   S.PredsLeft.assign(N, 0);
   for (const DepEdge &Edge : DG.edges())
@@ -267,46 +173,7 @@ void fastListSchedule(const Loop &L, const DependenceGraph &DG,
   }
   assert(Scheduled == N && "fast list scheduler failed to place all ops");
 
-  S.Order.resize(N);
-  std::iota(S.Order.begin(), S.Order.end(), 0);
-  std::sort(S.Order.begin(), S.Order.end(), [&](uint32_t A, uint32_t B) {
-    if (S.CycleOf[A] != S.CycleOf[B])
-      return S.CycleOf[A] < S.CycleOf[B];
-    return A < B;
-  });
-  uint32_t LastCycle = 0;
-  for (uint32_t Node = 0; Node < N; ++Node)
-    LastCycle = std::max(LastCycle, S.CycleOf[Node]);
-  S.Length = LastCycle + 1;
-}
-
-/// Mirror of Simulator.cpp's listScheduledIterationCycles over the
-/// scratch schedule.
-double iterationInterval(const Loop &L, const DependenceGraph &DG,
-                         const MachineModel &Machine, const Scratch &S) {
-  double Interval = S.Length;
-  for (const DepEdge &Edge : DG.edges()) {
-    if (Edge.Distance == 0)
-      continue;
-    int Delay = 0;
-    switch (Edge.Kind) {
-    case DepKind::Data:
-      Delay = Machine.latency(L.body()[Edge.Src].Op);
-      break;
-    case DepKind::Memory:
-      Delay = 1;
-      break;
-    case DepKind::Control:
-      Delay = Machine.latency(L.body()[Edge.Src].Op);
-      break;
-    }
-    double Needed =
-        (static_cast<double>(S.CycleOf[Edge.Src]) + Delay -
-         S.CycleOf[Edge.Dst]) /
-        Edge.Distance;
-    Interval = std::max(Interval, Needed);
-  }
-  return Interval;
+  S.Length = finalizeListSchedule(S.CycleOf, S.Order);
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,14 +193,10 @@ void fastLiveness(const Loop &L, Scratch &S, unsigned &MaxLiveInt,
   MaxLiveInt = 0;
   MaxLiveFloat = 0;
 
+  // fastListSchedule left S.Order holding all N body indices.
   S.Position.assign(N, 0);
-  if (S.Order.empty()) {
-    for (uint32_t Pos = 0; Pos < N; ++Pos)
-      S.Position[Pos] = Pos;
-  } else {
-    for (uint32_t Pos = 0; Pos < S.Order.size(); ++Pos)
-      S.Position[S.Order[Pos]] = Pos;
-  }
+  for (uint32_t Pos = 0; Pos < S.Order.size(); ++Pos)
+    S.Position[S.Order[Pos]] = Pos;
 
   S.RegFlags.assign(R, 0);
   S.DefPos.assign(R, NoPos);
@@ -424,71 +287,27 @@ void fastLiveness(const Loop &L, Scratch &S, unsigned &MaxLiveInt,
 // structurally identical bodies.
 //===----------------------------------------------------------------------===//
 
-SimBodyStats computeBodyStatsUncached(const Loop &L,
-                                      const MachineModel &Machine,
-                                      Scratch &S) {
-  SimBodyStats Stats;
-  Stats.BodyOps = L.body().size();
-  for (const Instruction &Instr : L.body()) {
-    if (Instr.isLoad() && !Instr.Paired)
-      ++Stats.UnpairedLoads;
-    if (Instr.Op == Opcode::ExitIf) {
-      Stats.ExitProbSum += Instr.TakenProb;
-      ++Stats.ExitCount;
-    }
+SimBodyStats computeBodyStats(const Loop &L, const MachineModel &Machine,
+                              SimBodyStatsCache *Cache, Scratch &S) {
+  Fingerprint Key;
+  if (Cache) {
+    FingerprintHasher H;
+    H.str("metaopt-simbody-stats-key-v1");
+    hashCanonicalSimStructure(H, L);
+    Key = H.digest();
+    if (std::optional<SimBodyStats> Found = Cache->lookup(Key))
+      return *Found;
   }
+  SimBodyStats Stats = bodyOpStats(L);
   DependenceGraph DG(L);
   fastListSchedule(L, DG, Machine, S);
   Stats.Length = S.Length;
-  Stats.Interval = iterationInterval(L, DG, Machine, S);
+  Stats.Interval =
+      listScheduledIterationCycles(L, DG, S.CycleOf, S.Length, Machine);
   fastLiveness(L, S, Stats.MaxLiveInt, Stats.MaxLiveFloat);
+  if (Cache)
+    Cache->insert(Key, Stats);
   return Stats;
-}
-
-SimBodyStats computeBodyStats(const Loop &L, const MachineModel &Machine,
-                              SimBodyStatsCache *Cache, Scratch &S) {
-  if (!Cache)
-    return computeBodyStatsUncached(L, Machine, S);
-  FingerprintHasher H;
-  H.str("metaopt-simbody-stats-key-v1");
-  hashCanonicalSimStructure(H, L);
-  Fingerprint Key = H.digest();
-  if (std::optional<SimBodyStats> Found = Cache->lookup(Key))
-    return *Found;
-  SimBodyStats Stats = computeBodyStatsUncached(L, Machine, S);
-  Cache->insert(Key, Stats);
-  return Stats;
-}
-
-/// The Ctx-dependent half of Simulator.cpp's listScheduledBodyCost,
-/// replayed over captured stats.
-struct EvaluatedBody {
-  double PerIteration = 0.0;
-  unsigned Spills = 0;
-  int CodeBytes = 0;
-};
-
-EvaluatedBody evaluateBodyCost(const SimBodyStats &Stats,
-                               const MachineModel &Machine,
-                               const SimContext &Ctx) {
-  unsigned IntBudget = static_cast<unsigned>(
-      std::min(Machine.config().IntRegs, Ctx.IntRegBudget));
-  unsigned FpBudget = static_cast<unsigned>(
-      std::min(Machine.config().FloatRegs, Ctx.FpRegBudget));
-  EvaluatedBody Cost;
-  if (Stats.MaxLiveInt > IntBudget)
-    Cost.Spills += Stats.MaxLiveInt - IntBudget;
-  if (Stats.MaxLiveFloat > FpBudget)
-    Cost.Spills += Stats.MaxLiveFloat - FpBudget;
-  Cost.CodeBytes = Machine.codeBytes(
-      static_cast<int>(Stats.BodyOps + 2 * Cost.Spills));
-  Cost.PerIteration =
-      Stats.Interval +
-      Cost.Spills * Machine.config().SpillCycles +
-      icachePenaltyPerIteration(Cost.CodeBytes, Machine, Ctx) +
-      dcacheStallPerIteration(Stats.UnpairedLoads, Ctx) +
-      exitPenaltyPerIteration(Stats.ExitProbSum, Stats.ExitCount, Machine);
-  return Cost;
 }
 
 } // namespace
@@ -528,61 +347,30 @@ LoopSimPlan metaopt::compileLoopSim(const Loop &L,
                                     const MachineModel &Machine,
                                     const SimContext &Ctx, bool EnableSwp,
                                     SimBodyStatsCache *Cache) {
-  int64_t Trip = L.runtimeTripCount();
-  // Same diagnostic (and same wording) the reference raises on the first
-  // simulateLoop call for this loop.
-  if (Trip < 0)
-    throw std::domain_error("simulateLoop: loop '" + L.name() +
-                            "' has no concrete runtime trip count");
-
   LoopSimPlan Plan;
   Plan.LoopName = L.name();
-  Plan.Trip = Trip;
+  Plan.Trip = simulatedTripCount(L);
   Plan.HasKnownTrip = L.hasKnownTripCount();
   Plan.Swp = EnableSwp;
 
   Scratch S;
-  for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor) {
-    Loop Unrolled = unrollLoop(L, Factor);
-    {
-      SymbolicAnalysis Symbolic(Unrolled);
-      optimizeMemory(Unrolled, &Symbolic);
-    }
-    CompiledFactor &CF = Plan.Factors[Factor - 1];
-    if (EnableSwp) {
-      DependenceGraph DG(Unrolled);
-      RegBudget Budget{Ctx.IntRegBudget, Ctx.FpRegBudget};
-      SwpResult Swp = moduloSchedule(Unrolled, DG, Machine, Budget);
-      if (Swp.Pipelined) {
-        CF.Pipelined = true;
-        CF.II = Swp.II;
-        CF.StageCount = Swp.StageCount;
-        CF.SwpSpills = Swp.SpillsPerIteration;
-        CF.Main.BodyOps = Unrolled.body().size();
-        for (const Instruction &Instr : Unrolled.body())
-          if (Instr.isLoad() && !Instr.Paired)
-            ++CF.Main.UnpairedLoads;
-      }
-    }
-    if (!CF.Pipelined)
-      CF.Main = computeBodyStats(Unrolled, Machine, Cache, S);
-  }
+  auto Arena = [&](const Loop &Body) {
+    return computeBodyStats(Body, Machine, Cache, S);
+  };
+  for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
+    Plan.Factors[Factor - 1] =
+        compileFactor(L, Factor, Machine, Ctx, EnableSwp, Arena);
 
   // One epilogue body serves every factor: unrolledTripInfo(Trip, F)
-  // leaves Trip % F leftover iterations of the *original* body, so the
-  // reference's per-factor memopt(L) recompute always lands on the same
-  // loop. Factor 1 never has an epilogue (Trip % 1 == 0).
+  // leaves Trip % F leftover iterations of the *original* body, so
+  // simulateLoop's per-factor epilogue always lands on the same loop.
+  // Factor 1 never has an epilogue (Trip % 1 == 0).
   for (unsigned Factor = 2; Factor <= MaxUnrollFactor; ++Factor) {
-    if (unrolledTripInfo(Trip, Factor).EpilogueIterations <= 0)
-      continue;
-    Loop EpilogueLoop = L;
-    {
-      SymbolicAnalysis Symbolic(EpilogueLoop);
-      optimizeMemory(EpilogueLoop, &Symbolic);
+    if (unrolledTripInfo(Plan.Trip, Factor).EpilogueIterations > 0) {
+      Plan.HasEpilogue = true;
+      Plan.Epilogue = compileEpilogue(L, Arena);
+      break;
     }
-    Plan.HasEpilogue = true;
-    Plan.Epilogue = computeBodyStats(EpilogueLoop, Machine, Cache, S);
-    break;
   }
   return Plan;
 }
@@ -590,60 +378,9 @@ LoopSimPlan metaopt::compileLoopSim(const Loop &L,
 SimResult metaopt::evaluatePlan(const LoopSimPlan &Plan, unsigned Factor,
                                 const MachineModel &Machine,
                                 const SimContext &Ctx) {
-  if (Factor < 1 || Factor > MaxUnrollFactor)
-    throw std::invalid_argument(
-        "simulateLoop: unroll factor " + std::to_string(Factor) +
-        " for loop '" + Plan.LoopName + "' is outside [1, " +
-        std::to_string(MaxUnrollFactor) + "]");
-
-  UnrolledTripInfo TripInfo = unrolledTripInfo(Plan.Trip, Factor);
-  const CompiledFactor &CF = Plan.Factors[Factor - 1];
-
-  SimResult Result;
-  double MainCycles = 0.0;
-
-  if (CF.Pipelined) {
-    Result.UsedSwp = true;
-    Result.II = CF.II;
-    Result.SpillPairs = CF.SwpSpills;
-    Result.CodeBytes = Machine.codeBytes(
-        static_cast<int>(CF.Main.BodyOps + 2 * CF.SwpSpills));
-    double PerIteration =
-        CF.II + CF.SwpSpills * Machine.config().SpillCycles +
-        icachePenaltyPerIteration(Result.CodeBytes, Machine, Ctx) +
-        dcacheStallPerIteration(CF.Main.UnpairedLoads, Ctx) +
-        alignmentTax(Factor);
-    MainCycles = PerIteration * TripInfo.MainIterations +
-                 static_cast<double>(CF.StageCount - 1) * CF.II * 2.0;
-    Result.CyclesPerIteration = PerIteration / Factor;
-  } else {
-    EvaluatedBody Cost = evaluateBodyCost(CF.Main, Machine, Ctx);
-    Result.SpillPairs = Cost.Spills;
-    Result.ScheduleLength = CF.Main.Length;
-    Result.CodeBytes = Cost.CodeBytes;
-    double PerIteration = Cost.PerIteration + alignmentTax(Factor);
-    MainCycles = PerIteration * TripInfo.MainIterations;
-    Result.CyclesPerIteration = PerIteration / Factor;
-  }
-
-  double EpilogueCycles = 0.0;
-  if (TripInfo.EpilogueIterations > 0) {
-    assert(Plan.HasEpilogue && "plan compiled without its epilogue");
-    EvaluatedBody Epilogue = evaluateBodyCost(Plan.Epilogue, Machine, Ctx);
-    EpilogueCycles = Epilogue.PerIteration * TripInfo.EpilogueIterations +
-                     Machine.config().MispredictPenalty + 2.0;
-  }
-
-  double Overhead = 10.0;
-  if (Factor > 1 && !Plan.HasKnownTrip)
-    Overhead += 10.0 + Machine.config().MispredictPenalty;
-  Overhead += Machine.config().MispredictPenalty;
-  double ColdFraction = std::clamp(
-      64.0 / std::max(1, Ctx.EffectiveIcacheBytes), 0.01, 0.5);
-  Overhead += static_cast<double>(Result.CodeBytes) /
-              Machine.config().L1ILineBytes *
-              Machine.config().L1IMissCycles * ColdFraction;
-
-  Result.Cycles = MainCycles + EpilogueCycles + Overhead;
-  return Result;
+  checkUnrollFactor(Factor, Plan.LoopName);
+  return evaluateCompiledFactor(Plan.Factors[Factor - 1],
+                                Plan.HasEpilogue ? &Plan.Epilogue : nullptr,
+                                Factor, Plan.Trip, Plan.HasKnownTrip, Machine,
+                                Ctx);
 }

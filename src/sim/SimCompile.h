@@ -10,18 +10,20 @@
 /// into a context-independent *compile* step and a cheap per-context
 /// *evaluate* step.
 ///
-/// simulateLoop(L, F, Machine, Ctx, Swp) runs, per call: unroll ->
-/// symbolic analysis -> memory optimization -> dependence graph -> list
-/// schedule -> liveness -> cost model. Of those, only the final cost
-/// arithmetic reads the SimContext (cache shares, d-cache rates, register
-/// budgets); everything upstream depends on the loop structure, the
-/// factor, and the machine alone. The labeling sweep exploits that twice:
+/// There is one cost model. Its building blocks, declared here and
+/// defined in sim/Simulator.cpp, split each factor into a compile step
+/// (compileFactor: unroll, memory-optimize, attempt SWP, reduce the body
+/// to SimBodyStats) and an evaluate step (evaluateCompiledFactor); only
+/// the evaluate step reads the SimContext's cache shares, d-cache rates
+/// and register budgets. simulateLoop runs both steps for one factor
+/// with the reference kernels (listSchedule + analyzeLiveness).
+/// compileLoopSim runs the compile step once for all eight factors with
+/// the arena kernels of sim/SimCompile.cpp, and the labeling sweep
+/// exploits that twice:
 ///
-///  1. compileLoopSim() runs the structure-dependent pipeline ONCE per
-///     (loop, machine, swp) for all eight factors and bakes the results
-///     into a LoopSimPlan of plain numbers. evaluatePlan() then reproduces
-///     simulateLoop's result for any SimContext with a handful of
-///     floating-point operations — so one sim-equivalence class
+///  1. compileLoopSim() bakes every factor into a LoopSimPlan of plain
+///     numbers; evaluatePlan() then prices any factor under any
+///     SimContext — so one sim-equivalence class
 ///     (analysis/symbolic/Canonical.h) compiles one plan and evaluates it
 ///     under every member's own context, byte-identically to simulating
 ///     each member from scratch.
@@ -41,11 +43,12 @@
 /// labeling pruner folds the budgets into the class key when SWP is
 /// enabled (core/driver/LabelCollector.cpp).
 ///
-/// simulateLoop() itself is untouched and stays the semantics anchor: the
-/// perf suite asserts compile+evaluate == simulateLoop over the whole
-/// synthetic corpus and the fuzz seed corpus (tests/perf_test.cpp), and
-/// the fast path reuses the reference's own latency/delay/enforcement
-/// model (sched/ScheduleValidate.h) rather than re-deriving it.
+/// The arena list scheduler shares ResourceTable, the height pass and the
+/// order/length finalization with listSchedule (sched/ListScheduler.h).
+/// What remains to cross-check is the kernels: tests/perf_test.cpp
+/// asserts compile+evaluate == simulateLoop over a corpus slice and the
+/// fuzz seeds, the fuzz `sim-cache` oracle asserts it on every campaign
+/// case, and tests/sim_golden_test.cpp pins simulateLoop's own output.
 ///
 /// See docs/PERF.md for the design rationale and measurements.
 ///
@@ -54,19 +57,28 @@
 #ifndef METAOPT_SIM_SIMCOMPILE_H
 #define METAOPT_SIM_SIMCOMPILE_H
 
-#include "ir/Loop.h"
+#include "analysis/DependenceGraph.h"
 #include "sim/Simulator.h"
 #include "support/Fingerprint.h"
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace metaopt {
+
+//===----------------------------------------------------------------------===//
+// The cost model's building blocks. simulateLoop and compileLoopSim both
+// compile each factor with compileFactor and price it with
+// evaluateCompiledFactor; they differ only in the kernels that turn a
+// body into SimBodyStats.
+//===----------------------------------------------------------------------===//
 
 /// Everything the cost model reads about one scheduled body that does not
 /// depend on the SimContext. Captured once per unique post-memopt body
@@ -104,6 +116,51 @@ struct CompiledFactor {
   unsigned SwpSpills = 0;
 };
 
+/// Schedules one body and measures its SimBodyStats.
+using SimBodyStatsFn = std::function<SimBodyStats(const Loop &)>;
+
+/// The op counts of \p L's body (BodyOps, UnpairedLoads, exit terms);
+/// the schedule-derived fields are left zero.
+SimBodyStats bodyOpStats(const Loop &L);
+
+/// Cost of one steady-state execution of a list-scheduled body, including
+/// cross-iteration recurrence stalls: consecutive iterations issue
+/// back-to-back, but a loop-carried dependence u -> v (distance d) forces
+/// iteration spacing of at least (cycle(u) + latency(u) - cycle(v)) / d.
+double listScheduledIterationCycles(const Loop &L, const DependenceGraph &DG,
+                                    const std::vector<uint32_t> &CycleOf,
+                                    uint32_t Length,
+                                    const MachineModel &Machine);
+
+/// \p L's runtime trip count; throws std::domain_error when it has none.
+int64_t simulatedTripCount(const Loop &L);
+
+/// Throws std::invalid_argument when \p Factor is outside
+/// [1, MaxUnrollFactor]; \p LoopName goes into the message.
+void checkUnrollFactor(unsigned Factor, const std::string &LoopName);
+
+/// The per-factor compile step: unroll, symbolic memory optimization, an
+/// SWP attempt against \p Ctx's register budgets when \p EnableSwp, and
+/// \p BodyStats over the unrolled body when it was not pipelined.
+CompiledFactor compileFactor(const Loop &L, unsigned Factor,
+                             const MachineModel &Machine,
+                             const SimContext &Ctx, bool EnableSwp,
+                             const SimBodyStatsFn &BodyStats);
+
+/// The epilogue body: the original body, memory-optimized, never
+/// software pipelined.
+SimBodyStats compileEpilogue(const Loop &L, const SimBodyStatsFn &BodyStats);
+
+/// The cost model: prices factor \p Factor of a loop with runtime trip
+/// count \p Trip under \p Ctx. \p Epilogue may be null when Trip % Factor
+/// is zero.
+SimResult evaluateCompiledFactor(const CompiledFactor &CF,
+                                 const SimBodyStats *Epilogue,
+                                 unsigned Factor, int64_t Trip,
+                                 bool HasKnownTrip,
+                                 const MachineModel &Machine,
+                                 const SimContext &Ctx);
+
 /// Context-independent compilation of one loop at every unroll factor —
 /// everything evaluatePlan() needs to reproduce simulateLoop() for an
 /// arbitrary SimContext (same register budgets required when Swp).
@@ -117,8 +174,8 @@ struct LoopSimPlan {
   /// with the same flag the plan was compiled with.
   bool Swp = false;
   std::array<CompiledFactor, MaxUnrollFactor> Factors;
-  /// Epilogue body stats, shared by every factor with Trip % F > 0. The
-  /// reference recompiles the epilogue per factor; it is the same
+  /// Epilogue body stats, shared by every factor with Trip % F > 0.
+  /// simulateLoop compiles the epilogue per call; it is the same
   /// memopt(L) body each time, so the plan computes it once.
   bool HasEpilogue = false;
   SimBodyStats Epilogue;
@@ -161,11 +218,12 @@ LoopSimPlan compileLoopSim(const Loop &L, const MachineModel &Machine,
                            const SimContext &Ctx, bool EnableSwp,
                            SimBodyStatsCache *Cache = nullptr);
 
-/// Replays the cost model over a compiled plan: byte-identical to
+/// Prices one factor of a compiled plan with the shared cost model
+/// (evaluateCompiledFactor): byte-identical to
 /// simulateLoop(L, Factor, Machine, Ctx, EnableSwp) for the loop the plan
 /// was compiled from, any \p Ctx (same register budgets when the plan was
 /// compiled with SWP), and the same \p Machine. Throws
-/// std::invalid_argument on an out-of-range factor, as the reference does.
+/// std::invalid_argument on an out-of-range factor, as simulateLoop does.
 SimResult evaluatePlan(const LoopSimPlan &Plan, unsigned Factor,
                        const MachineModel &Machine, const SimContext &Ctx);
 

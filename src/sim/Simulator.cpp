@@ -7,11 +7,14 @@
 #include "analysis/symbolic/StrideInterval.h"
 #include "sched/ListScheduler.h"
 #include "sched/ModuloScheduler.h"
+#include "sched/ScheduleValidate.h"
+#include "sim/SimCompile.h"
 #include "transform/MemoryOpt.h"
 #include "transform/Unroller.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cassert>
+#include <optional>
 #include <stdexcept>
 
 using namespace metaopt;
@@ -26,39 +29,6 @@ namespace {
 double alignmentTax(unsigned Factor) {
   bool PowerOfTwo = (Factor & (Factor - 1)) == 0;
   return PowerOfTwo ? 0.0 : 1.4;
-}
-
-/// Cost of one steady-state execution of a list-scheduled body, including
-/// cross-iteration recurrence stalls: consecutive iterations issue
-/// back-to-back, but a loop-carried dependence u -> v (distance d) forces
-/// iteration spacing of at least (cycle(u) + latency(u) - cycle(v)) / d.
-double listScheduledIterationCycles(const Loop &L, const DependenceGraph &DG,
-                                    const Schedule &Sched,
-                                    const MachineModel &Machine) {
-  double Interval = Sched.Length;
-  for (const DepEdge &Edge : DG.edges()) {
-    if (Edge.Distance == 0)
-      continue;
-    int Delay = 0;
-    switch (Edge.Kind) {
-    case DepKind::Data:
-      Delay = Machine.latency(L.body()[Edge.Src].Op);
-      break;
-    case DepKind::Memory:
-      Delay = 1;
-      break;
-    case DepKind::Control:
-      // Serialization across iterations (calls) waits out the operation.
-      Delay = Machine.latency(L.body()[Edge.Src].Op);
-      break;
-    }
-    double Needed =
-        (static_cast<double>(Sched.CycleOf[Edge.Src]) + Delay -
-         Sched.CycleOf[Edge.Dst]) /
-        Edge.Distance;
-    Interval = std::max(Interval, Needed);
-  }
-  return Interval;
 }
 
 /// Per-iteration penalty for a body whose code no longer fits in the
@@ -78,12 +48,9 @@ double icachePenaltyPerIteration(int CodeBytes, const MachineModel &Machine,
 
 /// Expected visible d-cache stall cycles per body execution. The second
 /// half of a merged wide load shares its partner's cache access.
-double dcacheStallPerIteration(const Loop &L, const SimContext &Ctx) {
-  unsigned Loads = 0;
-  for (const Instruction &Instr : L.body())
-    if (Instr.isLoad() && !Instr.Paired)
-      ++Loads;
-  return Loads * Ctx.DcacheMissRate * Ctx.DcacheMissCycles *
+double dcacheStallPerIteration(const SimBodyStats &Body,
+                               const SimContext &Ctx) {
+  return Body.UnpairedLoads * Ctx.DcacheMissRate * Ctx.DcacheMissCycles *
          Ctx.DcacheVisibleFraction;
 }
 
@@ -91,123 +58,188 @@ double dcacheStallPerIteration(const Loop &L, const SimContext &Ctx) {
 /// exits: the rare taken exit flushes the pipe, and every replicated
 /// side-exit branch also occupies branch-predictor capacity that the rest
 /// of the program wants (a fixed per-branch tax).
-double exitPenaltyPerIteration(const Loop &L, const MachineModel &Machine) {
-  double Probability = 0.0;
-  unsigned Exits = 0;
-  for (const Instruction &Instr : L.body()) {
-    if (Instr.Op == Opcode::ExitIf) {
-      Probability += Instr.TakenProb;
-      ++Exits;
-    }
-  }
-  return Probability * Machine.config().MispredictPenalty + 0.15 * Exits;
+double exitPenaltyPerIteration(const SimBodyStats &Body,
+                               const MachineModel &Machine) {
+  return Body.ExitProbSum * Machine.config().MispredictPenalty +
+         0.15 * Body.ExitCount;
 }
 
 /// Spill pairs needed once the scheduled body's live values exceed the
 /// register budget (machine file capped by the loop's program context).
-unsigned spillPairs(const Loop &L, const Schedule &Sched,
-                    const MachineModel &Machine, const SimContext &Ctx) {
-  LivenessInfo Live = analyzeLiveness(L, Sched.Order);
+unsigned spillPairs(const SimBodyStats &Body, const MachineModel &Machine,
+                    const SimContext &Ctx) {
   unsigned IntBudget = static_cast<unsigned>(
       std::min(Machine.config().IntRegs, Ctx.IntRegBudget));
   unsigned FpBudget = static_cast<unsigned>(
       std::min(Machine.config().FloatRegs, Ctx.FpRegBudget));
   unsigned Spills = 0;
-  if (Live.MaxLiveInt > IntBudget)
-    Spills += Live.MaxLiveInt - IntBudget;
-  if (Live.MaxLiveFloat > FpBudget)
-    Spills += Live.MaxLiveFloat - FpBudget;
+  if (Body.MaxLiveInt > IntBudget)
+    Spills += Body.MaxLiveInt - IntBudget;
+  if (Body.MaxLiveFloat > FpBudget)
+    Spills += Body.MaxLiveFloat - FpBudget;
   return Spills;
 }
 
-/// Full cost of executing \p Iterations repetitions of \p L's body with the
-/// list-scheduling pipeline (no SWP). Returns per-iteration cycles too.
+/// Cost of one execution of a list-scheduled body (no SWP) under \p Ctx.
 struct BodyCost {
   double PerIteration = 0.0;
   unsigned Spills = 0;
-  uint32_t Length = 0;
   int CodeBytes = 0;
 };
 
-BodyCost listScheduledBodyCost(const Loop &L, const MachineModel &Machine,
+BodyCost listScheduledBodyCost(const SimBodyStats &Body,
+                               const MachineModel &Machine,
                                const SimContext &Ctx) {
+  BodyCost Cost;
+  Cost.Spills = spillPairs(Body, Machine, Ctx);
+  Cost.CodeBytes = Machine.codeBytes(
+      static_cast<int>(Body.BodyOps + 2 * Cost.Spills));
+  Cost.PerIteration =
+      Body.Interval + Cost.Spills * Machine.config().SpillCycles +
+      icachePenaltyPerIteration(Cost.CodeBytes, Machine, Ctx) +
+      dcacheStallPerIteration(Body, Ctx) +
+      exitPenaltyPerIteration(Body, Machine);
+  return Cost;
+}
+
+/// The memory cleanups unrolling enables (Section 3 of the paper):
+/// store-to-load forwarding, redundant load elimination, wide-load
+/// pairing across the copies. The symbolic analysis lets the pass act on
+/// proven guard facts and same-iteration disjointness instead of its
+/// conservative bail-outs (analysis/symbolic).
+void optimizeBodyMemory(Loop &L) {
+  SymbolicAnalysis Symbolic(L);
+  optimizeMemory(L, &Symbolic);
+}
+
+/// The reference kernels: listSchedule + analyzeLiveness.
+SimBodyStats referenceBodyStats(const Loop &L, const MachineModel &Machine) {
+  SimBodyStats Stats = bodyOpStats(L);
   DependenceGraph DG(L);
   Schedule Sched = listSchedule(L, DG, Machine);
-  BodyCost Cost;
-  Cost.Length = Sched.Length;
-  Cost.Spills = spillPairs(L, Sched, Machine, Ctx);
-  Cost.CodeBytes = Machine.codeBytes(
-      static_cast<int>(L.body().size() + 2 * Cost.Spills));
-  Cost.PerIteration =
-      listScheduledIterationCycles(L, DG, Sched, Machine) +
-      Cost.Spills * Machine.config().SpillCycles +
-      icachePenaltyPerIteration(Cost.CodeBytes, Machine, Ctx) +
-      dcacheStallPerIteration(L, Ctx) +
-      exitPenaltyPerIteration(L, Machine);
-  return Cost;
+  Stats.Length = Sched.Length;
+  Stats.Interval = listScheduledIterationCycles(L, DG, Sched.CycleOf,
+                                                Sched.Length, Machine);
+  LivenessInfo Live = analyzeLiveness(L, Sched.Order);
+  Stats.MaxLiveInt = Live.MaxLiveInt;
+  Stats.MaxLiveFloat = Live.MaxLiveFloat;
+  return Stats;
 }
 
 } // namespace
 
-SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
-                                const MachineModel &Machine,
-                                const SimContext &Ctx, bool EnableSwp) {
-  // Real diagnostics, not asserts: callers feed policy outputs and corpus
-  // data straight into this function, and the default build is Release
-  // (NDEBUG), where an assert would compile out and let a bad factor
-  // corrupt the unroller or a negative trip count poison every cycle
-  // count downstream.
-  if (Factor < 1 || Factor > MaxUnrollFactor)
-    throw std::invalid_argument(
-        "simulateLoop: unroll factor " + std::to_string(Factor) +
-        " for loop '" + L.name() + "' is outside [1, " +
-        std::to_string(MaxUnrollFactor) + "]");
+SimBodyStats metaopt::bodyOpStats(const Loop &L) {
+  SimBodyStats Stats;
+  Stats.BodyOps = L.body().size();
+  for (const Instruction &Instr : L.body()) {
+    if (Instr.isLoad() && !Instr.Paired)
+      ++Stats.UnpairedLoads;
+    if (Instr.Op == Opcode::ExitIf) {
+      Stats.ExitProbSum += Instr.TakenProb;
+      ++Stats.ExitCount;
+    }
+  }
+  return Stats;
+}
+
+double metaopt::listScheduledIterationCycles(
+    const Loop &L, const DependenceGraph &DG,
+    const std::vector<uint32_t> &CycleOf, uint32_t Length,
+    const MachineModel &Machine) {
+  double Interval = Length;
+  for (const DepEdge &Edge : DG.edges()) {
+    if (Edge.Distance == 0)
+      continue;
+    int Delay = machineEdgeDelay(Edge, L, Machine);
+    double Needed =
+        (static_cast<double>(CycleOf[Edge.Src]) + Delay - CycleOf[Edge.Dst]) /
+        Edge.Distance;
+    Interval = std::max(Interval, Needed);
+  }
+  return Interval;
+}
+
+// Real diagnostics, not asserts: callers feed policy outputs and corpus
+// data straight into the simulator, and the default build is Release
+// (NDEBUG), where an assert would compile out and let a bad factor
+// corrupt the unroller or a negative trip count poison every cycle count
+// downstream.
+
+int64_t metaopt::simulatedTripCount(const Loop &L) {
   int64_t Trip = L.runtimeTripCount();
   if (Trip < 0)
     throw std::domain_error("simulateLoop: loop '" + L.name() +
                             "' has no concrete runtime trip count");
+  return Trip;
+}
 
-  UnrolledTripInfo TripInfo = unrolledTripInfo(Trip, Factor);
+void metaopt::checkUnrollFactor(unsigned Factor,
+                                const std::string &LoopName) {
+  if (Factor < 1 || Factor > MaxUnrollFactor)
+    throw std::invalid_argument(
+        "simulateLoop: unroll factor " + std::to_string(Factor) +
+        " for loop '" + LoopName + "' is outside [1, " +
+        std::to_string(MaxUnrollFactor) + "]");
+}
+
+CompiledFactor metaopt::compileFactor(const Loop &L, unsigned Factor,
+                                      const MachineModel &Machine,
+                                      const SimContext &Ctx, bool EnableSwp,
+                                      const SimBodyStatsFn &BodyStats) {
   Loop Unrolled = unrollLoop(L, Factor);
-  // The memory cleanups unrolling enables (Section 3 of the paper):
-  // store-to-load forwarding, redundant load elimination, wide-load
-  // pairing across the copies. The symbolic analysis lets the pass act on
-  // proven guard facts and same-iteration disjointness instead of its
-  // conservative bail-outs (analysis/symbolic).
-  {
-    SymbolicAnalysis Symbolic(Unrolled);
-    optimizeMemory(Unrolled, &Symbolic);
-  }
-
-  SimResult Result;
-  double MainCycles = 0.0;
-
-  bool Pipelined = false;
+  optimizeBodyMemory(Unrolled);
+  CompiledFactor CF;
   if (EnableSwp) {
     DependenceGraph DG(Unrolled);
     RegBudget Budget{Ctx.IntRegBudget, Ctx.FpRegBudget};
     SwpResult Swp = moduloSchedule(Unrolled, DG, Machine, Budget);
     if (Swp.Pipelined) {
-      Pipelined = true;
-      Result.UsedSwp = true;
-      Result.II = Swp.II;
-      Result.SpillPairs = Swp.SpillsPerIteration;
-      Result.CodeBytes = Machine.codeBytes(static_cast<int>(
-          Unrolled.body().size() + 2 * Swp.SpillsPerIteration));
-      double PerIteration =
-          Swp.II + Swp.SpillsPerIteration * Machine.config().SpillCycles +
-          icachePenaltyPerIteration(Result.CodeBytes, Machine, Ctx) +
-          dcacheStallPerIteration(Unrolled, Ctx) + alignmentTax(Factor);
-      MainCycles = PerIteration * TripInfo.MainIterations +
-                   static_cast<double>(Swp.StageCount - 1) * Swp.II * 2.0;
-      Result.CyclesPerIteration = PerIteration / Factor;
+      CF.Pipelined = true;
+      CF.II = Swp.II;
+      CF.StageCount = Swp.StageCount;
+      CF.SwpSpills = Swp.SpillsPerIteration;
+      CF.Main = bodyOpStats(Unrolled);
+      return CF;
     }
   }
+  CF.Main = BodyStats(Unrolled);
+  return CF;
+}
 
-  if (!Pipelined) {
-    BodyCost Cost = listScheduledBodyCost(Unrolled, Machine, Ctx);
+SimBodyStats metaopt::compileEpilogue(const Loop &L,
+                                      const SimBodyStatsFn &BodyStats) {
+  Loop EpilogueLoop = L;
+  optimizeBodyMemory(EpilogueLoop);
+  return BodyStats(EpilogueLoop);
+}
+
+SimResult metaopt::evaluateCompiledFactor(const CompiledFactor &CF,
+                                          const SimBodyStats *Epilogue,
+                                          unsigned Factor, int64_t Trip,
+                                          bool HasKnownTrip,
+                                          const MachineModel &Machine,
+                                          const SimContext &Ctx) {
+  UnrolledTripInfo TripInfo = unrolledTripInfo(Trip, Factor);
+  SimResult Result;
+  double MainCycles = 0.0;
+
+  if (CF.Pipelined) {
+    Result.UsedSwp = true;
+    Result.II = CF.II;
+    Result.SpillPairs = CF.SwpSpills;
+    Result.CodeBytes = Machine.codeBytes(
+        static_cast<int>(CF.Main.BodyOps + 2 * CF.SwpSpills));
+    double PerIteration =
+        CF.II + CF.SwpSpills * Machine.config().SpillCycles +
+        icachePenaltyPerIteration(Result.CodeBytes, Machine, Ctx) +
+        dcacheStallPerIteration(CF.Main, Ctx) + alignmentTax(Factor);
+    MainCycles = PerIteration * TripInfo.MainIterations +
+                 static_cast<double>(CF.StageCount - 1) * CF.II * 2.0;
+    Result.CyclesPerIteration = PerIteration / Factor;
+  } else {
+    BodyCost Cost = listScheduledBodyCost(CF.Main, Machine, Ctx);
     Result.SpillPairs = Cost.Spills;
-    Result.ScheduleLength = Cost.Length;
+    Result.ScheduleLength = CF.Main.Length;
     Result.CodeBytes = Cost.CodeBytes;
     double PerIteration = Cost.PerIteration + alignmentTax(Factor);
     MainCycles = PerIteration * TripInfo.MainIterations;
@@ -220,13 +252,9 @@ SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
   // divide the trip count preferable.
   double EpilogueCycles = 0.0;
   if (TripInfo.EpilogueIterations > 0) {
-    Loop EpilogueLoop = L;
-    {
-      SymbolicAnalysis Symbolic(EpilogueLoop);
-      optimizeMemory(EpilogueLoop, &Symbolic);
-    }
-    BodyCost Epilogue = listScheduledBodyCost(EpilogueLoop, Machine, Ctx);
-    EpilogueCycles = Epilogue.PerIteration * TripInfo.EpilogueIterations +
+    assert(Epilogue && "epilogue iterations without epilogue body stats");
+    BodyCost Cost = listScheduledBodyCost(*Epilogue, Machine, Ctx);
+    EpilogueCycles = Cost.PerIteration * TripInfo.EpilogueIterations +
                      Machine.config().MispredictPenalty + 2.0;
   }
 
@@ -234,7 +262,7 @@ SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
   // risk when unrolling a loop whose trip count is unknown at compile time
   // (the runtime must select between the unrolled and rolled versions).
   double Overhead = 10.0;
-  if (Factor > 1 && !L.hasKnownTripCount())
+  if (Factor > 1 && !HasKnownTrip)
     Overhead += 10.0 + Machine.config().MispredictPenalty;
   // Final exit mispredicts once per execution.
   Overhead += Machine.config().MispredictPenalty;
@@ -250,4 +278,21 @@ SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
 
   Result.Cycles = MainCycles + EpilogueCycles + Overhead;
   return Result;
+}
+
+SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
+                                const MachineModel &Machine,
+                                const SimContext &Ctx, bool EnableSwp) {
+  checkUnrollFactor(Factor, L.name());
+  int64_t Trip = simulatedTripCount(L);
+  auto Reference = [&](const Loop &Body) {
+    return referenceBodyStats(Body, Machine);
+  };
+  CompiledFactor CF =
+      compileFactor(L, Factor, Machine, Ctx, EnableSwp, Reference);
+  std::optional<SimBodyStats> Epilogue;
+  if (unrolledTripInfo(Trip, Factor).EpilogueIterations > 0)
+    Epilogue = compileEpilogue(L, Reference);
+  return evaluateCompiledFactor(CF, Epilogue ? &*Epilogue : nullptr, Factor,
+                                Trip, L.hasKnownTripCount(), Machine, Ctx);
 }

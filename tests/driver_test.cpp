@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/SimCache.h"
 #include "core/driver/Heuristics.h"
 #include "core/driver/Pipeline.h"
 #include "core/driver/SpeedupEvaluator.h"
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 
 using namespace metaopt;
@@ -320,7 +322,6 @@ TEST(SpeedupEvaluatorTest, RejectsUnknownEvalBenchmark) {
 TEST(PipelineTest, LazyAndConsistent) {
   PipelineOptions Options;
   Options.Corpus = tinyCorpus();
-  Options.CacheDir = "";
   Pipeline Pipe(Options);
   EXPECT_EQ(Pipe.corpus().size(), 72u);
   const Dataset &First = Pipe.dataset(false);
@@ -329,33 +330,54 @@ TEST(PipelineTest, LazyAndConsistent) {
   EXPECT_GT(Pipe.totalLoops(false), First.size());
 }
 
-TEST(PipelineTest, DiskCacheRoundTrips) {
+/// Regression for the deleted dataset-CSV cache, whose key held only the
+/// machine name, SWP and the corpus seed: two pipelines differing only in
+/// measurement noise must not share labels, while an identical rerun is
+/// served warm from the simulation cache's persistent tier (keyed on
+/// every simulation input) and reproduces the dataset byte for byte.
+TEST(PipelineTest, LabelsTrackEveryInputAndRerunsServeWarm) {
   std::string CacheDir =
-      ::testing::TempDir() + "/metaopt_pipeline_cache_test";
+      ::testing::TempDir() + "/metaopt_pipeline_simcache_test";
   std::filesystem::remove_all(CacheDir);
 
-  PipelineOptions Options;
-  Options.Corpus = tinyCorpus();
-  Options.CacheDir = CacheDir;
+  auto Label = [&](double NoiseStdDev, SimCacheStats *Stats) {
+    SimCacheConfig Config;
+    Config.PersistentDir = CacheDir;
+    SimCache::configureGlobal(Config);
+    PipelineOptions Options;
+    Options.Corpus = tinyCorpus();
+    Options.Protocol.NoiseStdDev = NoiseStdDev;
+    Pipeline Pipe(Options);
+    Dataset Data = Pipe.dataset(false);
+    if (Stats)
+      *Stats = SimCache::global().stats();
+    return Data;
+  };
 
-  Pipeline First(Options);
-  const Dataset &Fresh = First.dataset(false);
-  size_t FreshSize = Fresh.size();
-
-  Pipeline Second(Options);
-  const Dataset &Cached = Second.dataset(false);
-  ASSERT_EQ(Cached.size(), FreshSize);
-  for (size_t I = 0; I < FreshSize; ++I) {
-    EXPECT_EQ(Cached[I].Label, Fresh[I].Label);
-    EXPECT_EQ(Cached[I].LoopName, Fresh[I].LoopName);
+  Dataset Quiet = Label(0.008, nullptr);
+  Dataset Noisy = Label(0.25, nullptr);
+  std::map<std::string, unsigned> QuietLabels;
+  for (const Example &Ex : Quiet.examples())
+    QuietLabels[Ex.LoopName] = Ex.Label;
+  size_t Differing = 0;
+  for (const Example &Ex : Noisy.examples()) {
+    auto It = QuietLabels.find(Ex.LoopName);
+    Differing += It != QuietLabels.end() && It->second != Ex.Label;
   }
+  EXPECT_GT(Differing, 0u) << "noise level ignored: labels were reused";
+
+  SimCacheStats Warm;
+  Dataset Again = Label(0.008, &Warm);
+  EXPECT_GT(Warm.Hits, 0u);
+  EXPECT_EQ(Again.toCsv(), Quiet.toCsv());
+
+  SimCache::configureGlobal(SimCacheConfig());
   std::filesystem::remove_all(CacheDir);
 }
 
 TEST(PipelineTest, ExportWritesCsv) {
   PipelineOptions Options;
   Options.Corpus = tinyCorpus();
-  Options.CacheDir = "";
   Pipeline Pipe(Options);
   std::string Path = ::testing::TempDir() + "/metaopt_export_test.csv";
   ASSERT_TRUE(Pipe.exportDatasetCsv(false, Path));

@@ -34,7 +34,6 @@ protected:
     PipelineOptions Options;
     Options.Corpus.MinLoopsPerBenchmark = 5;
     Options.Corpus.MaxLoopsPerBenchmark = 8;
-    Options.CacheDir = "";
     Pipe = new Pipeline(Options);
     Data = &Pipe->dataset(/*EnableSwp=*/false);
   }
@@ -195,7 +194,6 @@ TEST_F(IntegrationTest, SwpDatasetPrefersSmallerFactors) {
 /// moves these, EXPERIMENTS.md needs regenerating.
 TEST(FullScaleGuard, HeadlineNumbersHold) {
   PipelineOptions Options; // Default: the full 72-benchmark corpus.
-  Options.CacheDir = "";
   Pipeline Pipe(Options);
   const Dataset &Data = Pipe.dataset(/*EnableSwp=*/false);
   EXPECT_GT(Data.size(), 2500u);

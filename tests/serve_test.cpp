@@ -372,7 +372,6 @@ TEST(ModelBundleTest, PipelineBundleMatchesInProcessClassifierOnAllLoops) {
   PipelineOptions Options;
   Options.Corpus.MinLoopsPerBenchmark = 2;
   Options.Corpus.MaxLoopsPerBenchmark = 3;
-  Options.CacheDir = "";
   Pipeline Pipe(Options);
 
   NearNeighborClassifier Nn(paperReducedFeatureSet());
