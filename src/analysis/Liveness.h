@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Live-range computation over the (unscheduled) body order. Produces the
-/// "live range size" feature (Table 3/4) and feeds the machine model's
-/// spill estimation: loop-invariant live-ins occupy registers for the whole
-/// loop, phi values are live across the backedge, and temporaries live from
-/// definition to last use.
+/// Live-range computation over the body order or a schedule's issue
+/// order. Produces the "live range size" feature (Table 3/4) and the ORC
+/// heuristic's pressure estimate, and feeds the simulator's spill model
+/// (over the list schedule's order, in simulateLoop and the compiled
+/// labeling path alike): loop-invariant live-ins occupy registers for the
+/// whole loop, phi values are live across the backedge, and temporaries
+/// live from definition to last use. This is the only liveness pass; it
+/// runs in O(body + registers) via per-class delta arrays.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -48,27 +48,8 @@ SimKey metaopt::simCacheKey(const Loop &L, const std::string &PrintedLoop,
   H.u64(Factor);
   H.boolean(EnableSwp);
 
-  // Every MachineConfig field: the schedulers and the cost model read all
-  // of them, so all of them are fingerprint inputs.
-  const MachineConfig &C = Machine.config();
-  H.str(C.Name);
-  H.i64(C.IssueWidth);
-  H.u64(C.UnitCount.size());
-  for (int Units : C.UnitCount)
-    H.i64(Units);
-  H.i64(C.IntRegs);
-  H.i64(C.FloatRegs);
-  H.i64(C.PredRegs);
-  H.u64(C.Latency.size());
-  for (int Latency : C.Latency)
-    H.i64(Latency);
-  H.i64(C.BundleBytes);
-  H.i64(C.SlotsPerBundle);
-  H.i64(C.L1ICapacityBytes);
-  H.i64(C.L1ILineBytes);
-  H.i64(C.L1IMissCycles);
-  H.i64(C.MispredictPenalty);
-  H.i64(C.SpillCycles);
+  // Every MachineConfig field.
+  hashMachineConfig(H, Machine.config());
 
   // Every SimContext field, likewise.
   H.i64(Ctx.EffectiveIcacheBytes);
@@ -198,7 +179,8 @@ void SimCache::clear() {
 namespace {
 
 constexpr char SimCacheMagic[8] = {'M', 'O', 'S', 'I', 'M', 'C', 'C', 'H'};
-constexpr size_t HeaderBytes = 8 + 3 * 8; // magic, version, count, checksum.
+// magic, format version, sim-model version, count, checksum.
+constexpr size_t HeaderBytes = 8 + 4 * 8;
 constexpr size_t RecordWords = 9;
 constexpr size_t RecordBytes = RecordWords * 8;
 
@@ -298,8 +280,15 @@ SimCacheFileInfo parseContainer(const std::string &Content,
                  ", expected v" + std::to_string(SimCacheFileVersion) + ")";
     return Info;
   }
-  Info.Entries = readU64(Data + 16);
-  uint64_t Checksum = readU64(Data + 24);
+  Info.ModelVersion = readU64(Data + 16);
+  if (Info.ModelVersion != SimModelVersion) {
+    Info.Error = "simulator model mismatch (file m" +
+                 std::to_string(Info.ModelVersion) + ", expected m" +
+                 std::to_string(SimModelVersion) + ")";
+    return Info;
+  }
+  Info.Entries = readU64(Data + 24);
+  uint64_t Checksum = readU64(Data + 32);
   size_t PayloadSize = Content.size() - HeaderBytes;
   if (PayloadSize != Info.Entries * RecordBytes) {
     Info.Error = "payload size does not match the entry count";
@@ -373,6 +362,7 @@ bool SimCache::savePersistent() {
   Content.reserve(HeaderBytes + Payload.size());
   Content.append(SimCacheMagic, sizeof(SimCacheMagic));
   appendU64(Content, SimCacheFileVersion);
+  appendU64(Content, SimModelVersion);
   appendU64(Content, Entries.size());
   appendU64(Content,
             payloadChecksum(

@@ -32,8 +32,9 @@
 ///    binary file under a cache directory (--cache-dir on the bench
 ///    harnesses, METAOPT_CACHE_DIR for any process), so repeated pipeline,
 ///    LOOCV, and bench runs warm-start across processes. Corrupt,
-///    truncated, or version-mismatched files are rejected wholesale and
-///    the cache starts cold — never trusted partially.
+///    truncated, format-version- or sim-model-version-mismatched files
+///    are rejected wholesale and the cache starts cold — never trusted
+///    partially.
 ///
 /// See docs/CACHING.md for the design rationale.
 ///
@@ -114,6 +115,7 @@ struct SimCacheFileInfo {
   bool Valid = false;
   std::string Error;   ///< Why the file was rejected (when !Valid).
   uint64_t Version = 0;
+  uint64_t ModelVersion = 0; ///< SimModelVersion the file was written by.
   uint64_t Entries = 0;
 };
 
@@ -126,8 +128,11 @@ SimCacheFileInfo inspectSimCacheFile(const std::string &Path);
 /// v2: key derivation gained exact exit-probability bits (domain tag
 /// "metaopt-simcache-key-v2"); v1 files hold keys no current lookup can
 /// produce, so they are rejected wholesale rather than carried as dead
-/// weight.
-constexpr uint64_t SimCacheFileVersion = 2;
+/// weight. v3: the header records the SimModelVersion (sim/Simulator.h)
+/// of the simulator that produced the results; files of another model
+/// version are rejected wholesale, so a cost-model change never serves
+/// stale results from an old cache directory.
+constexpr uint64_t SimCacheFileVersion = 3;
 
 /// The cache handle. All member functions are thread-safe except where
 /// noted; a single instance is intended to be shared by every thread of a

@@ -499,8 +499,8 @@ void metaopt::oracleSimCache(const Loop &L, std::vector<OracleFailure> &Out) {
          "unexpected hit/miss pattern: " + std::to_string(Stats.Hits) +
              " hits, " + std::to_string(Stats.Misses) + " misses");
 
-  // The compiled labeling path prices the same cost model over bodies
-  // scheduled by the arena kernels; it must agree with simulateLoop.
+  // The compiled labeling path runs the same compile step and cost model
+  // once per plan (one shared epilogue); it must agree with simulateLoop.
   for (bool EnableSwp : {false, true}) {
     LoopSimPlan Plan = compileLoopSim(L, Itanium2, Ctx, EnableSwp);
     for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)

@@ -151,3 +151,24 @@ MachineConfig metaopt::altVliwConfig() {
   Config.SpillCycles = 4;
   return Config;
 }
+
+void metaopt::hashMachineConfig(FingerprintHasher &H, const MachineConfig &C) {
+  H.str(C.Name);
+  H.i64(C.IssueWidth);
+  H.u64(C.UnitCount.size());
+  for (int Units : C.UnitCount)
+    H.i64(Units);
+  H.i64(C.IntRegs);
+  H.i64(C.FloatRegs);
+  H.i64(C.PredRegs);
+  H.u64(C.Latency.size());
+  for (int Latency : C.Latency)
+    H.i64(Latency);
+  H.i64(C.BundleBytes);
+  H.i64(C.SlotsPerBundle);
+  H.i64(C.L1ICapacityBytes);
+  H.i64(C.L1ILineBytes);
+  H.i64(C.L1IMissCycles);
+  H.i64(C.MispredictPenalty);
+  H.i64(C.SpillCycles);
+}

@@ -19,6 +19,7 @@
 #define METAOPT_MACHINE_MACHINE_H
 
 #include "ir/Instruction.h"
+#include "support/Fingerprint.h"
 
 #include <array>
 #include <string>
@@ -101,6 +102,11 @@ private:
 /// the counted branch; the second load of a merged wide access rides
 /// along with its partner.
 bool occupiesIssueSlot(const Instruction &Instr);
+
+/// Feeds every MachineConfig field into \p H: the schedulers and the cost
+/// model read all of them, so every cache of their output keys on all of
+/// them (the SimCache key and the simulator's body-stats cache).
+void hashMachineConfig(FingerprintHasher &H, const MachineConfig &C);
 
 /// Returns the default Itanium-2-like configuration.
 MachineConfig itanium2Config();

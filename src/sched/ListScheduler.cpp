@@ -5,7 +5,9 @@
 #include "sched/ScheduleValidate.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <limits>
 #include <numeric>
 
 using namespace metaopt;
@@ -15,11 +17,103 @@ using namespace metaopt;
 // validateListSchedule re-derives the same constraints independently of
 // this scheduler's bookkeeping.
 
-void metaopt::listScheduleHeights(const Loop &L, const DependenceGraph &DG,
-                                  const std::vector<int> &EffectiveLatency,
-                                  std::vector<int> &Height) {
+namespace {
+
+/// Per-cycle resource bookkeeping.
+class ResourceTable {
+public:
+  explicit ResourceTable(const MachineModel &Machine) : Machine(Machine) {}
+
+  /// Tries to issue \p Instr in the current cycle; returns false when
+  /// the required unit pool or the issue width is exhausted.
+  bool tryIssue(const Instruction &Instr) {
+    // Folded loop control and paired wide-load halves are free.
+    if (!occupiesIssueSlot(Instr))
+      return true;
+    Opcode Op = Instr.Op;
+    if (Issued >= Machine.issueWidth())
+      return false;
+    UnitKind Primary = Machine.unitFor(Op);
+    if (take(Primary)) {
+      ++Issued;
+      return true;
+    }
+    // A-type integer operations may fall over to a free memory slot.
+    if (Primary == UnitKind::Int && Machine.canUseMemUnit(Op) &&
+        take(UnitKind::Mem)) {
+      ++Issued;
+      return true;
+    }
+    return false;
+  }
+
+  void nextCycle() {
+    Used.fill(0);
+    Issued = 0;
+  }
+
+private:
+  bool take(UnitKind Kind) {
+    unsigned Index = static_cast<unsigned>(Kind);
+    if (Used[Index] >= Machine.unitCount(Kind))
+      return false;
+    ++Used[Index];
+    return true;
+  }
+
+  const MachineModel &Machine;
+  std::array<int, NumUnitKinds> Used = {};
+  int Issued = 0;
+};
+
+} // namespace
+
+// The scheduler is the classic cycle-driven one: each cycle, the
+// candidates are the nodes whose enforced predecessors all issued before
+// the cycle began and whose earliest-issue constraint has passed, tried
+// in priority order (HeightPriority) against the cycle's resources. It
+// does not rebuild and re-sort a candidate list every cycle: the
+// tie-break is a strict total order, so one static priority-sorted order
+// scanned per cycle visits each cycle's candidate set in exactly that
+// issue order. Two invariants make the scan equal to the per-cycle
+// candidate list:
+//
+//  - Cycle-start snapshot: only nodes whose PredsLeft hit zero *before*
+//    the current cycle are candidates. ReadyFrom[Dst] = Cycle + 1,
+//    stamped when the count reaches zero mid-cycle, defers such nodes
+//    exactly one scan — without it, a delay-0 enforced edge would let the
+//    successor issue in the same cycle as its predecessor.
+//
+//  - No mid-cycle constraint changes for eligible nodes: if a node is
+//    eligible this cycle, all its enforced predecessors were Done before
+//    the cycle began, so no issue during the scan can raise its
+//    EarliestCycle. Checking eligibility at visit time is therefore the
+//    same as checking at cycle start.
+//
+// Two scan reductions on top, neither of which can change an issue
+// decision:
+//
+//  - Issued nodes are stably compacted out of the priority order; the
+//    surviving nodes are visited in exactly the same relative order.
+//
+//  - A cycle in which no node passed the dependence/readiness checks
+//    changed no state (tryIssue was never reached), so Cycle jumps
+//    straight to the earliest ReadyFrom/EarliestCycle constraint among
+//    dependence-free nodes instead of re-scanning every empty cycle.
+Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
+                               const MachineModel &Machine) {
   uint32_t N = static_cast<uint32_t>(DG.numNodes());
-  Height.assign(N, 0);
+  Schedule Result;
+  Result.CycleOf.assign(N, 0);
+  if (N == 0)
+    return Result;
+
+  std::vector<int> EffectiveLatency = schedEffectiveLatencies(L, DG, Machine);
+
+  // Priority: longest latency-weighted path to any sink over enforced
+  // edges ("height"). Computed backwards in body order (a reverse
+  // topological order of the distance-0 subgraph).
+  std::vector<int> Height(N, 0);
   for (uint32_t Node = N; Node-- > 0;) {
     Height[Node] = EffectiveLatency[Node];
     for (uint32_t EdgeIdx : DG.successors(Node)) {
@@ -30,91 +124,84 @@ void metaopt::listScheduleHeights(const Loop &L, const DependenceGraph &DG,
       Height[Node] = std::max(Height[Node], Delay + Height[Edge.Dst]);
     }
   }
-}
-
-uint32_t metaopt::finalizeListSchedule(const std::vector<uint32_t> &CycleOf,
-                                       std::vector<uint32_t> &Order) {
-  uint32_t N = static_cast<uint32_t>(CycleOf.size());
-  Order.resize(N);
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-    if (CycleOf[A] != CycleOf[B])
-      return CycleOf[A] < CycleOf[B];
-    return A < B;
-  });
-  uint32_t LastCycle = 0;
-  for (uint32_t Node = 0; Node < N; ++Node)
-    LastCycle = std::max(LastCycle, CycleOf[Node]);
-  return LastCycle + 1;
-}
-
-Schedule metaopt::listSchedule(const Loop &L, const DependenceGraph &DG,
-                               const MachineModel &Machine) {
-  size_t N = DG.numNodes();
-  Schedule Result;
-  Result.CycleOf.assign(N, 0);
-  if (N == 0)
-    return Result;
-
-  auto Enforced = [&](const DepEdge &Edge) {
-    return schedEdgeEnforced(L, Edge);
-  };
-
-  std::vector<int> EffectiveLatency = schedEffectiveLatencies(L, DG, Machine);
-  std::vector<int> Height;
-  listScheduleHeights(L, DG, EffectiveLatency, Height);
+  std::vector<uint32_t> Prio(N);
+  std::iota(Prio.begin(), Prio.end(), 0);
+  std::sort(Prio.begin(), Prio.end(), HeightPriority{Height});
 
   // Remaining enforced predecessor counts and earliest-issue constraints.
   std::vector<int> PredsLeft(N, 0);
   for (const DepEdge &Edge : DG.edges())
-    if (Enforced(Edge))
+    if (schedEdgeEnforced(L, Edge))
       ++PredsLeft[Edge.Dst];
-
   std::vector<uint32_t> EarliestCycle(N, 0);
-  std::vector<bool> Done(N, false);
-  std::vector<uint32_t> Ready;
-  for (uint32_t Node = 0; Node < N; ++Node)
-    if (PredsLeft[Node] == 0)
-      Ready.push_back(Node);
+  std::vector<uint32_t> ReadyFrom(N, 0);
+  std::vector<char> Done(N, 0);
 
   ResourceTable Resources(Machine);
   size_t Scheduled = 0;
   uint32_t Cycle = 0;
   // Guard against livelock; any body schedules in far fewer cycles.
-  uint32_t CycleCap = static_cast<uint32_t>(64 * N + 1024);
+  uint32_t CycleCap = 64 * N + 1024;
+  constexpr uint32_t Never = std::numeric_limits<uint32_t>::max();
 
+  size_t Active = N;
   while (Scheduled < N && Cycle < CycleCap) {
-    // Candidates ready this cycle, highest priority first.
-    std::vector<uint32_t> Candidates;
-    for (uint32_t Node : Ready)
-      if (!Done[Node] && EarliestCycle[Node] <= Cycle)
-        Candidates.push_back(Node);
-    std::sort(Candidates.begin(), Candidates.end(), HeightPriority{Height});
-
-    for (uint32_t Node : Candidates) {
+    bool AnyEligible = false;
+    bool AnyIssued = false;
+    uint32_t NextReady = Never;
+    for (size_t PI = 0; PI < Active; ++PI) {
+      uint32_t Node = Prio[PI];
+      if (Done[Node] || PredsLeft[Node] != 0)
+        continue;
+      uint32_t ReadyAt = std::max(ReadyFrom[Node], EarliestCycle[Node]);
+      if (ReadyAt > Cycle) {
+        NextReady = std::min(NextReady, ReadyAt);
+        continue;
+      }
+      AnyEligible = true;
       if (!Resources.tryIssue(L.body()[Node]))
         continue;
-      Done[Node] = true;
+      Done[Node] = 1;
       Result.CycleOf[Node] = Cycle;
+      AnyIssued = true;
       ++Scheduled;
       for (uint32_t EdgeIdx : DG.successors(Node)) {
         const DepEdge &Edge = DG.edge(EdgeIdx);
-        if (!Enforced(Edge))
+        if (!schedEdgeEnforced(L, Edge))
           continue;
-        uint32_t ReadyAt =
+        uint32_t SuccReady =
             Cycle +
             static_cast<uint32_t>(schedEdgeDelay(Edge, L, EffectiveLatency));
-        EarliestCycle[Edge.Dst] =
-            std::max(EarliestCycle[Edge.Dst], ReadyAt);
+        EarliestCycle[Edge.Dst] = std::max(EarliestCycle[Edge.Dst], SuccReady);
         if (--PredsLeft[Edge.Dst] == 0)
-          Ready.push_back(Edge.Dst);
+          ReadyFrom[Edge.Dst] = Cycle + 1;
       }
     }
+    if (AnyIssued) {
+      size_t W = 0;
+      for (size_t PI = 0; PI < Active; ++PI)
+        if (!Done[Prio[PI]])
+          Prio[W++] = Prio[PI];
+      Active = W;
+    }
     Resources.nextCycle();
-    ++Cycle;
+    if (!AnyEligible && NextReady != Never && NextReady > Cycle + 1)
+      Cycle = NextReady;
+    else
+      ++Cycle;
   }
   assert(Scheduled == N && "list scheduler failed to place all operations");
 
-  Result.Length = finalizeListSchedule(Result.CycleOf, Result.Order);
+  // Issue order: cycle, then body position. Length: last issue cycle + 1.
+  Result.Order.resize(N);
+  std::iota(Result.Order.begin(), Result.Order.end(), 0);
+  std::sort(Result.Order.begin(), Result.Order.end(),
+            [&](uint32_t A, uint32_t B) {
+              if (Result.CycleOf[A] != Result.CycleOf[B])
+                return Result.CycleOf[A] < Result.CycleOf[B];
+              return A < B;
+            });
+  Result.Length =
+      *std::max_element(Result.CycleOf.begin(), Result.CycleOf.end()) + 1;
   return Result;
 }

@@ -4,6 +4,7 @@
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/Liveness.h"
+#include "analysis/symbolic/Canonical.h"
 #include "analysis/symbolic/StrideInterval.h"
 #include "sched/ListScheduler.h"
 #include "sched/ModuloScheduler.h"
@@ -16,6 +17,7 @@
 #include <cassert>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 using namespace metaopt;
 
@@ -112,23 +114,9 @@ void optimizeBodyMemory(Loop &L) {
   optimizeMemory(L, &Symbolic);
 }
 
-/// The reference kernels: listSchedule + analyzeLiveness.
-SimBodyStats referenceBodyStats(const Loop &L, const MachineModel &Machine) {
-  SimBodyStats Stats = bodyOpStats(L);
-  DependenceGraph DG(L);
-  Schedule Sched = listSchedule(L, DG, Machine);
-  Stats.Length = Sched.Length;
-  Stats.Interval = listScheduledIterationCycles(L, DG, Sched.CycleOf,
-                                                Sched.Length, Machine);
-  LivenessInfo Live = analyzeLiveness(L, Sched.Order);
-  Stats.MaxLiveInt = Live.MaxLiveInt;
-  Stats.MaxLiveFloat = Live.MaxLiveFloat;
-  return Stats;
-}
-
-} // namespace
-
-SimBodyStats metaopt::bodyOpStats(const Loop &L) {
+/// The op counts of \p L's body (BodyOps, UnpairedLoads, exit terms);
+/// the schedule-derived fields are left zero.
+SimBodyStats bodyOpStats(const Loop &L) {
   SimBodyStats Stats;
   Stats.BodyOps = L.body().size();
   for (const Instruction &Instr : L.body()) {
@@ -142,10 +130,14 @@ SimBodyStats metaopt::bodyOpStats(const Loop &L) {
   return Stats;
 }
 
-double metaopt::listScheduledIterationCycles(
-    const Loop &L, const DependenceGraph &DG,
-    const std::vector<uint32_t> &CycleOf, uint32_t Length,
-    const MachineModel &Machine) {
+/// Cost of one steady-state execution of a list-scheduled body, including
+/// cross-iteration recurrence stalls: consecutive iterations issue
+/// back-to-back, but a loop-carried dependence u -> v (distance d) forces
+/// iteration spacing of at least (cycle(u) + latency(u) - cycle(v)) / d.
+double listScheduledIterationCycles(const Loop &L, const DependenceGraph &DG,
+                                    const std::vector<uint32_t> &CycleOf,
+                                    uint32_t Length,
+                                    const MachineModel &Machine) {
   double Interval = Length;
   for (const DepEdge &Edge : DG.edges()) {
     if (Edge.Distance == 0)
@@ -165,7 +157,8 @@ double metaopt::listScheduledIterationCycles(
 // corrupt the unroller or a negative trip count poison every cycle count
 // downstream.
 
-int64_t metaopt::simulatedTripCount(const Loop &L) {
+/// \p L's runtime trip count; throws std::domain_error when it has none.
+int64_t simulatedTripCount(const Loop &L) {
   int64_t Trip = L.runtimeTripCount();
   if (Trip < 0)
     throw std::domain_error("simulateLoop: loop '" + L.name() +
@@ -173,8 +166,9 @@ int64_t metaopt::simulatedTripCount(const Loop &L) {
   return Trip;
 }
 
-void metaopt::checkUnrollFactor(unsigned Factor,
-                                const std::string &LoopName) {
+/// Throws std::invalid_argument when \p Factor is outside
+/// [1, MaxUnrollFactor]; \p LoopName goes into the message.
+void checkUnrollFactor(unsigned Factor, const std::string &LoopName) {
   if (Factor < 1 || Factor > MaxUnrollFactor)
     throw std::invalid_argument(
         "simulateLoop: unroll factor " + std::to_string(Factor) +
@@ -182,10 +176,43 @@ void metaopt::checkUnrollFactor(unsigned Factor,
         std::to_string(MaxUnrollFactor) + "]");
 }
 
-CompiledFactor metaopt::compileFactor(const Loop &L, unsigned Factor,
-                                      const MachineModel &Machine,
-                                      const SimContext &Ctx, bool EnableSwp,
-                                      const SimBodyStatsFn &BodyStats) {
+/// The stats of a list-scheduled body: its op counts, listSchedule, the
+/// recurrence-constrained interval and analyzeLiveness over the issue
+/// order. \p Cache, when non-null, shares them across structurally
+/// identical bodies on the same machine.
+SimBodyStats bodyStats(const Loop &L, const MachineModel &Machine,
+                       SimBodyStatsCache *Cache) {
+  Fingerprint Key;
+  if (Cache) {
+    FingerprintHasher H;
+    H.str("metaopt-simbody-stats-key-v2");
+    hashMachineConfig(H, Machine.config());
+    hashCanonicalSimStructure(H, L);
+    Key = H.digest();
+    if (std::optional<SimBodyStats> Found = Cache->lookup(Key))
+      return *Found;
+  }
+  SimBodyStats Stats = bodyOpStats(L);
+  DependenceGraph DG(L);
+  Schedule Sched = listSchedule(L, DG, Machine);
+  Stats.Length = Sched.Length;
+  Stats.Interval = listScheduledIterationCycles(L, DG, Sched.CycleOf,
+                                                Sched.Length, Machine);
+  LivenessInfo Live = analyzeLiveness(L, Sched.Order);
+  Stats.MaxLiveInt = Live.MaxLiveInt;
+  Stats.MaxLiveFloat = Live.MaxLiveFloat;
+  if (Cache)
+    Cache->insert(Key, Stats);
+  return Stats;
+}
+
+/// The per-factor compile step: unroll, symbolic memory optimization, an
+/// SWP attempt against \p Ctx's register budgets when \p EnableSwp, and
+/// the body stats of the unrolled body when it was not pipelined.
+CompiledFactor compileFactor(const Loop &L, unsigned Factor,
+                             const MachineModel &Machine,
+                             const SimContext &Ctx, bool EnableSwp,
+                             SimBodyStatsCache *Cache) {
   Loop Unrolled = unrollLoop(L, Factor);
   optimizeBodyMemory(Unrolled);
   CompiledFactor CF;
@@ -202,23 +229,28 @@ CompiledFactor metaopt::compileFactor(const Loop &L, unsigned Factor,
       return CF;
     }
   }
-  CF.Main = BodyStats(Unrolled);
+  CF.Main = bodyStats(Unrolled, Machine, Cache);
   return CF;
 }
 
-SimBodyStats metaopt::compileEpilogue(const Loop &L,
-                                      const SimBodyStatsFn &BodyStats) {
+/// The epilogue body: the original body, memory-optimized, never
+/// software pipelined.
+SimBodyStats compileEpilogue(const Loop &L, const MachineModel &Machine,
+                             SimBodyStatsCache *Cache) {
   Loop EpilogueLoop = L;
   optimizeBodyMemory(EpilogueLoop);
-  return BodyStats(EpilogueLoop);
+  return bodyStats(EpilogueLoop, Machine, Cache);
 }
 
-SimResult metaopt::evaluateCompiledFactor(const CompiledFactor &CF,
-                                          const SimBodyStats *Epilogue,
-                                          unsigned Factor, int64_t Trip,
-                                          bool HasKnownTrip,
-                                          const MachineModel &Machine,
-                                          const SimContext &Ctx) {
+/// The cost model: prices factor \p Factor of a loop with runtime trip
+/// count \p Trip under \p Ctx. \p Epilogue may be null when Trip % Factor
+/// is zero.
+SimResult evaluateCompiledFactor(const CompiledFactor &CF,
+                                 const SimBodyStats *Epilogue,
+                                 unsigned Factor, int64_t Trip,
+                                 bool HasKnownTrip,
+                                 const MachineModel &Machine,
+                                 const SimContext &Ctx) {
   UnrolledTripInfo TripInfo = unrolledTripInfo(Trip, Factor);
   SimResult Result;
   double MainCycles = 0.0;
@@ -280,19 +312,80 @@ SimResult metaopt::evaluateCompiledFactor(const CompiledFactor &CF,
   return Result;
 }
 
+} // namespace
+
 SimResult metaopt::simulateLoop(const Loop &L, unsigned Factor,
                                 const MachineModel &Machine,
                                 const SimContext &Ctx, bool EnableSwp) {
   checkUnrollFactor(Factor, L.name());
   int64_t Trip = simulatedTripCount(L);
-  auto Reference = [&](const Loop &Body) {
-    return referenceBodyStats(Body, Machine);
-  };
   CompiledFactor CF =
-      compileFactor(L, Factor, Machine, Ctx, EnableSwp, Reference);
+      compileFactor(L, Factor, Machine, Ctx, EnableSwp, /*Cache=*/nullptr);
   std::optional<SimBodyStats> Epilogue;
   if (unrolledTripInfo(Trip, Factor).EpilogueIterations > 0)
-    Epilogue = compileEpilogue(L, Reference);
+    Epilogue = compileEpilogue(L, Machine, /*Cache=*/nullptr);
   return evaluateCompiledFactor(CF, Epilogue ? &*Epilogue : nullptr, Factor,
                                 Trip, L.hasKnownTripCount(), Machine, Ctx);
+}
+
+//===----------------------------------------------------------------------===//
+// The compiled labeling path (sim/SimCompile.h)
+//===----------------------------------------------------------------------===//
+
+std::optional<SimBodyStats>
+SimBodyStatsCache::lookup(const Fingerprint &Key) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Map.find(Key);
+  if (It == Map.end())
+    return std::nullopt;
+  Hits.fetch_add(1, std::memory_order_relaxed);
+  return It->second;
+}
+
+void SimBodyStatsCache::insert(const Fingerprint &Key,
+                               const SimBodyStats &Stats) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Map.emplace(Key, Stats);
+}
+
+size_t SimBodyStatsCache::size() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Map.size();
+}
+
+LoopSimPlan metaopt::compileLoopSim(const Loop &L,
+                                    const MachineModel &Machine,
+                                    const SimContext &Ctx, bool EnableSwp,
+                                    SimBodyStatsCache *Cache) {
+  LoopSimPlan Plan;
+  Plan.LoopName = L.name();
+  Plan.Trip = simulatedTripCount(L);
+  Plan.HasKnownTrip = L.hasKnownTripCount();
+  Plan.Swp = EnableSwp;
+  for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
+    Plan.Factors[Factor - 1] =
+        compileFactor(L, Factor, Machine, Ctx, EnableSwp, Cache);
+
+  // One epilogue body serves every factor: unrolledTripInfo(Trip, F)
+  // leaves Trip % F leftover iterations of the *original* body, so
+  // simulateLoop's per-factor epilogue always lands on the same loop.
+  // Factor 1 never has an epilogue (Trip % 1 == 0).
+  for (unsigned Factor = 2; Factor <= MaxUnrollFactor; ++Factor) {
+    if (unrolledTripInfo(Plan.Trip, Factor).EpilogueIterations > 0) {
+      Plan.HasEpilogue = true;
+      Plan.Epilogue = compileEpilogue(L, Machine, Cache);
+      break;
+    }
+  }
+  return Plan;
+}
+
+SimResult metaopt::evaluatePlan(const LoopSimPlan &Plan, unsigned Factor,
+                                const MachineModel &Machine,
+                                const SimContext &Ctx) {
+  checkUnrollFactor(Factor, Plan.LoopName);
+  return evaluateCompiledFactor(Plan.Factors[Factor - 1],
+                                Plan.HasEpilogue ? &Plan.Epilogue : nullptr,
+                                Factor, Plan.Trip, Plan.HasKnownTrip, Machine,
+                                Ctx);
 }

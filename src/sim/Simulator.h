@@ -31,6 +31,8 @@
 #include "machine/Machine.h"
 #include "sched/Schedule.h"
 
+#include <cstdint>
+
 namespace metaopt {
 
 /// Program-context parameters attached to each loop by the corpus: how the
@@ -65,6 +67,14 @@ struct SimResult {
   /// cache's correctness tests compare cached against fresh results.
   friend bool operator==(const SimResult &, const SimResult &) = default;
 };
+
+/// Version of the simulator model: bump it whenever simulateLoop's output
+/// changes for any input (the cost model, the schedulers, liveness, the
+/// unroller or the memory optimizer). The persistent SimCache records it
+/// in its file header and rejects files of another version wholesale;
+/// tests/sim_golden_test.cpp records it in the golden headers and refuses
+/// to regenerate digests that moved under an unchanged version.
+constexpr uint64_t SimModelVersion = 1;
 
 /// Compiles \p L at unroll factor \p Factor for \p Machine and returns the
 /// modeled execution cost over the loop's runtime trip count.

@@ -297,6 +297,7 @@ TEST(SimCachePersistentTest, RoundTripsAcrossHandles) {
   SimCacheFileInfo Info = inspectSimCacheFile(Reader.persistentPath());
   EXPECT_TRUE(Info.Valid) << Info.Error;
   EXPECT_EQ(Info.Version, SimCacheFileVersion);
+  EXPECT_EQ(Info.ModelVersion, SimModelVersion);
   EXPECT_EQ(Info.Entries, static_cast<uint64_t>(MaxUnrollFactor));
 
   std::filesystem::remove_all(Dir);
@@ -371,6 +372,15 @@ TEST(SimCachePersistentTest, RejectsCorruptTruncatedAndMismatchedFiles) {
   uint64_t FutureVersion = SimCacheFileVersion + 1;
   patchFile(Path, 8, &FutureVersion, sizeof(FutureVersion));
   rejects("version mismatch");
+  restore();
+
+  // Results of another simulator model are rejected wholesale, even
+  // though the container itself is intact.
+  uint64_t OtherModel = SimModelVersion + 1;
+  patchFile(Path, 16, &OtherModel, sizeof(OtherModel));
+  rejects("sim model mismatch");
+  EXPECT_NE(inspectSimCacheFile(Path).Error.find("simulator model"),
+            std::string::npos);
   restore();
 
   // Wrong magic: some other tool's file living under the same name.

@@ -7,15 +7,17 @@
 //
 //  * Byte-identity: the compiled plan evaluated at every factor must
 //    reproduce simulateLoop's SimResult bit for bit, over both a
-//    generated corpus slice and every promoted fuzz reproducer in
-//    tests/fuzz_seeds/ — the seeds are loops that broke an oracle once,
-//    so they are exactly the structures most likely to diverge.
+//    generated corpus slice (on two machines sharing one body-stats
+//    cache) and every promoted fuzz reproducer in tests/fuzz_seeds/ —
+//    the seeds are loops that broke an oracle once, so they are exactly
+//    the structures most likely to diverge.
 //
 //  * Throughput: the production labeling configuration (pruning on,
-//    4 threads) must beat the serial reference sweep by >= 1.5x on the
-//    quick corpus while producing the byte-identical dataset. The
-//    committed BENCH_pipeline.json records ~2.2x, so the floor leaves
-//    headroom for CI noise; see docs/PERF.md for the design.
+//    4 threads) must produce the serial reference sweep's byte-identical
+//    dataset and, in optimized builds, beat it by >= 1.5x on the quick
+//    corpus. The committed BENCH_pipeline.json records ~4x at 4 threads
+//    on 4 hardware threads, so the floor leaves headroom for CI noise;
+//    see docs/PERF.md for the design.
 //
 // The suite carries the ctest label `perf` so the CI bench-smoke job can
 // run it in isolation (`ctest -L perf`) on a Release build.
@@ -93,14 +95,19 @@ TEST(FastPathIdentity, MatchesReferenceOnGeneratedCorpus) {
   CorpusOpts.MinLoopsPerBenchmark = 2;
   CorpusOpts.MaxLoopsPerBenchmark = 4;
   std::vector<Benchmark> Corpus = buildCorpus(CorpusOpts);
-  MachineModel Machine(itanium2Config());
-  SimBodyStatsCache Cache; // Shared: identity must survive body sharing.
+  // Shared across loops and machines: identity must survive body sharing,
+  // and a body scheduled for one machine must never serve another.
+  SimBodyStatsCache Cache;
   size_t Checked = 0;
-  for (const Benchmark &Bench : Corpus) {
-    for (const CorpusLoop &Entry : Bench.Loops) {
-      expectFastPathMatches(Entry.TheLoop, Machine, Entry.Ctx, &Cache,
-                            Bench.Name + "/" + Entry.TheLoop.name());
-      ++Checked;
+  for (const MachineConfig &Config : {itanium2Config(), altVliwConfig()}) {
+    MachineModel Machine(Config);
+    for (const Benchmark &Bench : Corpus) {
+      for (const CorpusLoop &Entry : Bench.Loops) {
+        expectFastPathMatches(Entry.TheLoop, Machine, Entry.Ctx, &Cache,
+                              Machine.name() + ": " + Bench.Name + "/" +
+                                  Entry.TheLoop.name());
+        ++Checked;
+      }
     }
   }
   EXPECT_GT(Checked, 20u);
@@ -142,7 +149,7 @@ TEST(LabelingThroughput, ProductionBeatsSerialReferenceAt4Threads) {
   std::vector<Benchmark> Corpus = buildCorpus(CorpusOptions{});
 
   // Best-of-two per mode damps scheduler noise on busy CI machines; the
-  // floor (1.5x) sits well under the ~2.2x the bench records.
+  // floor (1.5x) sits well under the ~4x the bench records.
   std::string SerialCsv, ProductionCsv;
   double Serial = timedSweep(Corpus, /*PruneEquivalent=*/false,
                              /*Threads=*/1, &SerialCsv);
@@ -160,10 +167,16 @@ TEST(LabelingThroughput, ProductionBeatsSerialReferenceAt4Threads) {
   }
   ThreadPool::setGlobalThreads(ThreadPool::defaultThreadCount());
 
-  // The contract half: identical datasets.
+  // The contract half, in every build: identical datasets.
   EXPECT_EQ(SerialCsv, ProductionCsv);
-  // The throughput half: the whole point of the fast path.
+  // The throughput half: the whole point of the fast path. The floor is
+  // set for optimized code; an unoptimized build (Debug, --coverage)
+  // distorts the ratio, so there it is only recorded.
   ASSERT_GT(Production, 0.0);
-  EXPECT_GE(Serial / Production, 1.5)
-      << "serial " << Serial << "s vs production " << Production << "s";
+  double Ratio = Serial / Production;
+  RecordProperty("serial_over_production", std::to_string(Ratio));
+#ifdef __OPTIMIZE__
+  EXPECT_GE(Ratio, 1.5) << "serial " << Serial << "s vs production "
+                        << Production << "s";
+#endif
 }

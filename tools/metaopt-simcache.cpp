@@ -54,8 +54,9 @@ int main(int Argc, char **Argv) {
     std::printf("%s: REJECTED: %s\n", Path.c_str(), Info.Error.c_str());
     return 1;
   }
-  std::printf("%s: ok (format v%llu, %llu entries)\n", Path.c_str(),
-              static_cast<unsigned long long>(Info.Version),
+  std::printf("%s: ok (format v%llu, sim model m%llu, %llu entries)\n",
+              Path.c_str(), static_cast<unsigned long long>(Info.Version),
+              static_cast<unsigned long long>(Info.ModelVersion),
               static_cast<unsigned long long>(Info.Entries));
   return 0;
 }
