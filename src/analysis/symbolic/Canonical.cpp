@@ -7,9 +7,6 @@
 
 #include "analysis/symbolic/Canonical.h"
 
-#include "ir/Printer.h"
-
-#include <cstring>
 #include <map>
 
 using namespace metaopt;
@@ -67,10 +64,6 @@ Loop metaopt::canonicalSimForm(const Loop &L) {
   return Out;
 }
 
-std::string metaopt::canonicalSimText(const Loop &L) {
-  return printLoop(canonicalSimForm(L));
-}
-
 void metaopt::hashCanonicalSimStructure(FingerprintHasher &H,
                                         const Loop &L) {
   // Registers renumbered in the same first-appearance order
@@ -88,171 +81,62 @@ void metaopt::hashCanonicalSimStructure(FingerprintHasher &H,
     Visit(Phi.Init);
     Visit(Phi.Recur);
   }
-  // While renumbering, decide whether every field fits the packed
-  // encoding below: registers in 20 bits (with 0xFFFFF reserved for
-  // "no register"), opcodes in 8, operand counts in 4, memory sizes in
-  // 16. Real corpora always fit; the wide fallback keeps the key total
-  // rather than silently truncating a pathological loop.
-  bool CanPack = true;
   for (const Instruction &Instr : L.body()) {
     Visit(Instr.Dest);
     for (RegId Operand : Instr.Operands)
       Visit(Operand);
     Visit(Instr.Pred);
-    if (static_cast<uint64_t>(Instr.Op) > 0xFF ||
-        Instr.Operands.size() > 15)
-      CanPack = false;
-    if (Instr.isMemory() &&
-        (Instr.Mem.SizeBytes < 0 || Instr.Mem.SizeBytes > 0xFFFF))
-      CanPack = false;
   }
-  if (NextReg >= 0xFFFFF)
-    CanPack = false;
-
-  // A format marker leads the stream so a packed encoding can never
-  // alias a wide one: both formats are injective on their own, and the
-  // first word tells them apart. These keys live only in memory (the
-  // labeling pruner and the per-run body-stats cache), so the stream
-  // layout is free to evolve, unlike cache/SimCache.h's persistent key.
-  H.u64(CanPack ? 1 : 0);
-
-  if (!CanPack) {
-    auto Renum = [&](RegId Reg) -> uint64_t {
-      return Reg == NoReg ? static_cast<uint64_t>(NoReg) : Renumber[Reg];
-    };
-    H.u64(L.phis().size());
-    for (const PhiNode &Phi : L.phis()) {
-      H.u64(Renum(Phi.Dest));
-      H.u64(Renum(Phi.Init));
-      H.u64(Renum(Phi.Recur));
-    }
-
-    // Base symbols renumbered densely in first-use body order.
-    std::map<int32_t, int32_t> SymOrder;
-    H.u64(L.body().size());
-    for (const Instruction &Instr : L.body()) {
-      H.u64(static_cast<uint64_t>(Instr.Op));
-      H.u64(Renum(Instr.Dest));
-      H.u64(Instr.Operands.size());
-      for (RegId Operand : Instr.Operands)
-        H.u64(Renum(Operand));
-      H.u64(Renum(Instr.Pred));
-      H.i64(Instr.Imm);
-      H.boolean(Instr.isMemory());
-      if (Instr.isMemory()) {
-        auto [It, Inserted] = SymOrder.emplace(
-            Instr.Mem.BaseSym, static_cast<int32_t>(SymOrder.size()));
-        (void)Inserted;
-        H.i64(It->second);
-        H.i64(Instr.Mem.Stride);
-        H.i64(Instr.Mem.Offset);
-        H.boolean(Instr.Mem.Indirect);
-        H.i64(Instr.Mem.SizeBytes);
-      }
-      // Exact IEEE-754 bits: the printed canonical text truncates exit
-      // probabilities to six significant digits, which would merge loops
-      // whose exit-penalty terms genuinely differ.
-      H.f64(Instr.TakenProb);
-      H.boolean(Instr.Paired);
-    }
-
-    // Classes of the referenced registers, in renumbered order.
-    std::vector<uint8_t> Classes(NextReg, 0);
-    for (RegId Reg = 0; Reg < L.numRegs(); ++Reg)
-      if (Renumber[Reg] != NoReg)
-        Classes[Renumber[Reg]] = static_cast<uint8_t>(L.regClass(Reg));
-    H.u64(NextReg);
-    for (uint8_t RC : Classes)
-      H.u64(RC);
-    return;
-  }
-
-  // Packed encoding: the hasher mixes one 64-bit word at a time, so the
-  // key's cost is the word count. Each instruction header folds opcode,
-  // operand count, dest, predicate, and four presence flags into one
-  // word; operands ride three to a word; the all-but-universal zero
-  // immediate and zero taken-probability are elided (their flags in the
-  // header keep the record self-delimiting, hence injective).
-  constexpr uint64_t PackedNoReg = 0xFFFFF;
-  auto Packed = [&](RegId Reg) -> uint64_t {
-    return Reg == NoReg ? PackedNoReg : Renumber[Reg];
+  auto Renum = [&](RegId Reg) -> uint64_t {
+    return Reg == NoReg ? static_cast<uint64_t>(NoReg) : Renumber[Reg];
   };
 
+  // Every field at full width, each list led by its length, so the
+  // stream is injective for any loop. The key lives only in memory (the
+  // per-run body-stats cache), so its layout is free to evolve, unlike
+  // cache/SimCache.h's persistent key.
   H.u64(L.phis().size());
-  for (const PhiNode &Phi : L.phis())
-    H.u64(Packed(Phi.Dest) | Packed(Phi.Init) << 20 |
-          Packed(Phi.Recur) << 40);
+  for (const PhiNode &Phi : L.phis()) {
+    H.u64(Renum(Phi.Dest));
+    H.u64(Renum(Phi.Init));
+    H.u64(Renum(Phi.Recur));
+  }
 
   // Base symbols renumbered densely in first-use body order.
   std::map<int32_t, int32_t> SymOrder;
   H.u64(L.body().size());
   for (const Instruction &Instr : L.body()) {
-    // Exact IEEE-754 bits: the printed canonical text truncates exit
-    // probabilities to six significant digits, which would merge loops
-    // whose exit-penalty terms genuinely differ.
-    uint64_t ProbBits;
-    static_assert(sizeof(ProbBits) == sizeof(Instr.TakenProb));
-    std::memcpy(&ProbBits, &Instr.TakenProb, sizeof(ProbBits));
-
-    H.u64(static_cast<uint64_t>(Instr.Op) |
-          static_cast<uint64_t>(Instr.Operands.size()) << 8 |
-          Packed(Instr.Dest) << 12 | Packed(Instr.Pred) << 32 |
-          static_cast<uint64_t>(Instr.isMemory()) << 52 |
-          static_cast<uint64_t>(Instr.Paired) << 53 |
-          static_cast<uint64_t>(Instr.Imm != 0) << 54 |
-          static_cast<uint64_t>(ProbBits != 0) << 55);
-    for (size_t I = 0; I < Instr.Operands.size(); I += 3) {
-      uint64_t W = Packed(Instr.Operands[I]);
-      if (I + 1 < Instr.Operands.size())
-        W |= Packed(Instr.Operands[I + 1]) << 20;
-      if (I + 2 < Instr.Operands.size())
-        W |= Packed(Instr.Operands[I + 2]) << 40;
-      H.u64(W);
-    }
-    if (Instr.Imm != 0)
-      H.i64(Instr.Imm);
+    H.u64(static_cast<uint64_t>(Instr.Op));
+    H.u64(Renum(Instr.Dest));
+    H.u64(Instr.Operands.size());
+    for (RegId Operand : Instr.Operands)
+      H.u64(Renum(Operand));
+    H.u64(Renum(Instr.Pred));
+    H.i64(Instr.Imm);
+    H.boolean(Instr.isMemory());
     if (Instr.isMemory()) {
       auto [It, Inserted] = SymOrder.emplace(
           Instr.Mem.BaseSym, static_cast<int32_t>(SymOrder.size()));
       (void)Inserted;
-      H.u64(static_cast<uint64_t>(static_cast<uint32_t>(It->second)) |
-            static_cast<uint64_t>(Instr.Mem.SizeBytes) << 32 |
-            static_cast<uint64_t>(Instr.Mem.Indirect) << 48);
+      H.i64(It->second);
       H.i64(Instr.Mem.Stride);
       H.i64(Instr.Mem.Offset);
+      H.boolean(Instr.Mem.Indirect);
+      H.i64(Instr.Mem.SizeBytes);
     }
-    if (ProbBits != 0)
-      H.f64(Instr.TakenProb);
+    // Exact IEEE-754 bits: the printed canonical text truncates exit
+    // probabilities to six significant digits, which would merge loops
+    // whose exit-penalty terms genuinely differ.
+    H.f64(Instr.TakenProb);
+    H.boolean(Instr.Paired);
   }
 
-  // Classes of the referenced registers, in renumbered order, eight
-  // single-byte classes to a word (zero-padded; the count delimits).
+  // Classes of the referenced registers, in renumbered order.
   std::vector<uint8_t> Classes(NextReg, 0);
   for (RegId Reg = 0; Reg < L.numRegs(); ++Reg)
     if (Renumber[Reg] != NoReg)
       Classes[Renumber[Reg]] = static_cast<uint8_t>(L.regClass(Reg));
   H.u64(NextReg);
-  uint64_t ClassWord = 0;
-  unsigned ClassCount = 0;
-  for (uint8_t RC : Classes) {
-    ClassWord |= static_cast<uint64_t>(RC) << (8 * ClassCount);
-    if (++ClassCount == 8) {
-      H.u64(ClassWord);
-      ClassWord = 0;
-      ClassCount = 0;
-    }
-  }
-  if (ClassCount > 0)
-    H.u64(ClassWord);
-}
-
-Fingerprint metaopt::canonicalSimKey(const Loop &L) {
-  FingerprintHasher H;
-  H.str("metaopt-canonical-sim-key-v1");
-  // Trip metadata is semantic: the symbolic analysis derives overflow and
-  // guard facts from it, which steer the memory optimizer.
-  H.i64(L.tripCount());
-  H.i64(L.runtimeTripCount());
-  hashCanonicalSimStructure(H, L);
-  return H.digest();
+  for (uint8_t RC : Classes)
+    H.u64(RC);
 }

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// The canonical simulation form: a quotient of the loop IR by everything
-/// simulateLoop() provably ignores. Two loops with equal canonical text
-/// receive identical SimResults at every unroll factor, so the labeling
-/// pipeline simulates one representative per equivalence class and reuses
-/// the results for the rest (core/driver/LabelCollector.h; the pruning
-/// rate is reported in BENCH_pipeline.json).
+/// simulateLoop() provably ignores. Two loops with equal canonical forms
+/// receive identical SimResults at every unroll factor. The simulator's
+/// per-run body-stats cache (sim/SimCompile.h) keys unrolled bodies on
+/// hashCanonicalSimStructure(), so loops that differ only in these
+/// dimensions share their schedule and liveness work during labeling
+/// (LabelingStats::BodyStatsShared, core/driver/LabelCollector.h).
 ///
 /// The normalized dimensions — each one verified against the simulator
 /// by the static-claims fuzz oracle on every campaign case:
@@ -27,19 +28,11 @@
 ///    behavior).
 ///
 /// Trip metadata (compile-time and runtime trip counts) is semantic and
-/// survives into the canonical text. Measurement noise is applied per
-/// (benchmark, loop) name *outside* the simulator, so label datasets are
-/// byte-identical with pruning on or off.
-///
-/// IMPORTANT: the labeling pruner keys classes on canonicalSimKey(), not
-/// on the simulation *context* — SimContext is deliberately excluded.
-/// Every corpus loop carries its own randomized context, so folding the
-/// context into the class key makes every class a singleton and kills the
-/// pruning (the PR-7 regression: 0 of 2808 simulations pruned). Instead
-/// the collector compiles one context-independent plan per structural
-/// class and evaluates it under each member's own context
-/// (sim/SimCompile.h), which keeps pruned and unpruned datasets
-/// byte-identical even when class members disagree on context.
+/// survives into the canonical form. The structure hash leaves it out on
+/// purpose: it keys bodies after unrolling and memory optimization, and
+/// nothing downstream of the memory optimizer reads trip counts. The
+/// simulation context is not part of the loop and so never part of the
+/// key; the cost model applies it when a body's stats are priced.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,34 +42,20 @@
 #include "ir/Loop.h"
 #include "support/Fingerprint.h"
 
-#include <string>
-
 namespace metaopt {
 
 /// Returns a copy of \p L with every sim-irrelevant dimension normalized.
 Loop canonicalSimForm(const Loop &L);
 
-/// The canonical text: printLoop(canonicalSimForm(L)). Equal strings
-/// certify equal SimResults for every (factor, machine, context) tuple —
-/// up to the printer's 6-significant-digit formatting of ExitIf
-/// probabilities; canonicalSimKey() closes that gap by hashing the exact
-/// IEEE-754 bits alongside the text-equivalent structure.
-std::string canonicalSimText(const Loop &L);
-
-/// Structural fingerprint of canonicalSimForm(L): equal keys certify (up
-/// to 128-bit collision odds) equal canonical forms *including* the exact
-/// bits of every ExitIf TakenProb, and therefore equal SimResults at
-/// every (factor, machine, context, swp) tuple. Computed by renumbering
-/// registers and base symbols on the fly — no Loop clone, no printing —
-/// so the labeling pruner can key hundreds of loops per millisecond.
-Fingerprint canonicalSimKey(const Loop &L);
-
 /// Feeds the trip-*independent* canonical structure of \p L into \p H:
-/// phis, body (opcodes, renumbered registers and base symbols, immediates,
-/// memory shapes, exact exit-probability bits, pairing), and referenced
-/// register classes. canonicalSimKey() is this plus the trip metadata;
-/// the body-level stats cache (sim/SimCompile.h) uses the structure alone,
-/// because nothing downstream of the memory optimizer reads trip counts.
+/// phis, body (opcodes, registers and base symbols renumbered as
+/// canonicalSimForm() renumbers them, immediates, memory shapes, exact
+/// exit-probability bits, pairing), and referenced register classes.
+/// Equal streams certify (up to 128-bit collision odds) equal canonical
+/// forms apart from trip metadata, *including* the exact bits of every
+/// ExitIf TakenProb the printer rounds. Computed on the fly — no Loop
+/// clone, no printing — because the body-stats cache hashes every
+/// unrolled body it sees.
 void hashCanonicalSimStructure(FingerprintHasher &H, const Loop &L);
 
 } // namespace metaopt

@@ -3,7 +3,6 @@
 #include "core/driver/LabelCollector.h"
 
 #include "analysis/lint/UnrollInvariants.h"
-#include "analysis/symbolic/Canonical.h"
 #include "cache/SimCache.h"
 #include "concurrency/Parallel.h"
 #include "core/features/FeatureExtractor.h"
@@ -11,38 +10,66 @@
 #include "sim/SimCompile.h"
 #include "support/Statistics.h"
 
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
 using namespace metaopt;
 
 namespace {
 
-/// Raw per-entry simulated cycles of one loop at factors 1..8 — the part
-/// of measureLoopAtAllFactors that is a pure function of (loop, context,
-/// machine, SWP) and therefore shareable across a canonical-sim
-/// equivalence class. Executions and noise are per-loop and applied
-/// downstream.
+SimCache &simCacheOf(const LabelingOptions &Options) {
+  return Options.Cache ? *Options.Cache : SimCache::global();
+}
+
+/// Raw per-entry simulated cycles of one loop at factors 1..8. The loop is
+/// printed once and all eight sim-cache keys derive from that text; hits
+/// are served from the cache, and on any miss the loop is compiled once
+/// (sim/SimCompile.h, sharing body stats through \p BodyCache when given)
+/// and the missing factors are evaluated under the loop's own context and
+/// inserted. A disabled cache misses every lookup and stores nothing, so
+/// it takes this same path.
 std::array<double, MaxUnrollFactor>
 simulateAllFactors(const CorpusLoop &Entry, const MachineModel &Machine,
-                   const LabelingOptions &Options) {
+                   const LabelingOptions &Options,
+                   SimBodyStatsCache *BodyCache) {
+  SimCache &Cache = simCacheOf(Options);
+  std::string Printed = printLoop(Entry.TheLoop);
+  std::array<SimKey, MaxUnrollFactor> Keys;
+  std::array<bool, MaxUnrollFactor> Hit = {};
   std::array<double, MaxUnrollFactor> Cycles = {};
-  for (unsigned Factor = 1; Factor <= MaxUnrollFactor; ++Factor)
-    Cycles[Factor - 1] = cachedSimulateLoop(Entry.TheLoop, Factor, Machine,
-                                            Entry.Ctx, Options.EnableSwp,
-                                            Options.Cache)
-                             .Cycles;
+  bool AllHit = true;
+  for (unsigned F = 1; F <= MaxUnrollFactor; ++F) {
+    Keys[F - 1] = simCacheKey(Entry.TheLoop, Printed, F, Machine, Entry.Ctx,
+                              Options.EnableSwp);
+    if (std::optional<SimResult> Found = Cache.lookup(Keys[F - 1])) {
+      Cycles[F - 1] = Found->Cycles;
+      Hit[F - 1] = true;
+    } else {
+      AllHit = false;
+    }
+  }
+  if (AllHit)
+    return Cycles; // Warm cache: nothing to compile.
+
+  LoopSimPlan Plan = compileLoopSim(Entry.TheLoop, Machine, Entry.Ctx,
+                                    Options.EnableSwp, BodyCache);
+  for (unsigned F = 1; F <= MaxUnrollFactor; ++F) {
+    if (Hit[F - 1])
+      continue;
+    SimResult Result = evaluatePlan(Plan, F, Machine, Entry.Ctx);
+    Cache.insert(Keys[F - 1], Result);
+    Cycles[F - 1] = Result.Cycles;
+  }
   return Cycles;
 }
 
-/// Pushes per-entry cycles through this loop's instrumentation model:
-/// scale by execution count, then take the median of the noisy repeated
-/// measurements.
+/// Measured medians of one loop at factors 1..8: the simulated per-entry
+/// cycles pushed through this loop's instrumentation model (scale by
+/// execution count, then take the median of the noisy repeated
+/// measurements).
 std::array<double, MaxUnrollFactor>
-measureFromCycles(const Benchmark &Bench, const CorpusLoop &Entry,
-                  const std::array<double, MaxUnrollFactor> &Cycles,
-                  const LabelingOptions &Options) {
+measureAllFactors(const Benchmark &Bench, const CorpusLoop &Entry,
+                  const MachineModel &Machine, const LabelingOptions &Options,
+                  SimBodyStatsCache *BodyCache) {
+  std::array<double, MaxUnrollFactor> Cycles =
+      simulateAllFactors(Entry, Machine, Options, BodyCache);
   // One deterministic noise stream per (benchmark, loop): re-labeling the
   // corpus reproduces identical datasets, serial or parallel. The
   // benchmark name is mixed into the stream index because loop names are
@@ -63,39 +90,24 @@ measureFromCycles(const Benchmark &Bench, const CorpusLoop &Entry,
   return Medians;
 }
 
-} // namespace
-
-std::array<double, MaxUnrollFactor>
-metaopt::measureLoopAtAllFactors(const Benchmark &Bench,
-                                 const CorpusLoop &Entry,
-                                 const MachineModel &Machine,
-                                 const LabelingOptions &Options) {
-  return measureFromCycles(Bench, Entry,
-                           simulateAllFactors(Entry, Machine, Options),
-                           Options);
-}
-
-namespace {
 /// Per-loop labeling result; Usable mirrors the paper's filters.
 struct LabeledLoop {
   bool Usable = false;
   Example Ex;
 };
-} // namespace
 
-/// Labels one loop from its (possibly class-shared) per-entry cycles:
-/// apply the loop's own noise stream, pick the best factor, apply the
-/// paper's usability filters. Pure function of its arguments (the noise
-/// stream is derived from the benchmark and loop names), so loops can be
+/// Labels one loop: measure it at every factor, pick the best factor,
+/// apply the paper's usability filters. Pure function of its arguments
+/// (the noise stream is derived from the benchmark and loop names, and
+/// \p BodyCache only shares identical body stats), so loops can be
 /// labeled in any order on any thread.
-static LabeledLoop labelOneLoop(const Benchmark &Bench,
-                                const CorpusLoop &Entry,
-                                const std::array<double, MaxUnrollFactor>
-                                    &Cycles,
-                                const LabelingOptions &Options) {
+LabeledLoop labelOneLoop(const Benchmark &Bench, const CorpusLoop &Entry,
+                         const MachineModel &Machine,
+                         const LabelingOptions &Options,
+                         SimBodyStatsCache &BodyCache) {
   LabeledLoop Result;
   std::array<double, MaxUnrollFactor> Medians =
-      measureFromCycles(Bench, Entry, Cycles, Options);
+      measureAllFactors(Bench, Entry, Machine, Options, &BodyCache);
 
   unsigned Best = 1;
   double BestCycles = Medians[0];
@@ -126,6 +138,17 @@ static LabeledLoop labelOneLoop(const Benchmark &Bench,
   return Result;
 }
 
+} // namespace
+
+std::array<double, MaxUnrollFactor>
+metaopt::measureLoopAtAllFactors(const Benchmark &Bench,
+                                 const CorpusLoop &Entry,
+                                 const MachineModel &Machine,
+                                 const LabelingOptions &Options) {
+  return measureAllFactors(Bench, Entry, Machine, Options,
+                           /*BodyCache=*/nullptr);
+}
+
 Dataset metaopt::collectLabels(const std::vector<Benchmark> &Corpus,
                                const LabelingOptions &Options,
                                size_t *OutTotalLoops,
@@ -146,142 +169,14 @@ Dataset metaopt::collectLabels(const std::vector<Benchmark> &Corpus,
     for (const CorpusLoop &Entry : Bench.Loops)
       Loops.emplace_back(&Bench, &Entry);
 
-  // Static pruning: partition the work-list into equivalence classes
-  // under the *context-free* canonical sim key (plus the register budgets
-  // when SWP is enabled, because the modulo scheduler reads them while
-  // scheduling). Equal keys certify that one context-independent compiled
-  // plan (sim/SimCompile.h) reproduces simulateLoop for every member
-  // under that member's own context — the certificate the static-claims
-  // fuzz oracle re-validates on every campaign case. The context must NOT
-  // be part of the key: every corpus loop carries its own randomized
-  // SimContext, so a context-keyed partition degenerates into singleton
-  // classes and prunes nothing (the regression this PR fixes — the bench
-  // reported 0 of 2808 simulations pruned).
-  std::vector<uint32_t> LeaderSlot(Loops.size(), 0);
-  std::vector<uint32_t> Leaders;
-  std::vector<LabeledLoop> Labeled;
+  // Loops (and factors of one loop) that unroll to structurally identical
+  // post-memopt bodies share their schedule and liveness work here.
   SimBodyStatsCache BodyCache;
-  if (Options.PruneEquivalent) {
-    std::vector<SimKey> Keys =
-        parallelMap<SimKey>(Loops.size(), [&](size_t I) {
-          Fingerprint Key = canonicalSimKey(Loops[I].second->TheLoop);
-          if (!Options.EnableSwp)
-            return Key;
-          FingerprintHasher H;
-          H.str("metaopt-labeling-class-key-swp-v1");
-          H.u64(Key.Lo);
-          H.u64(Key.Hi);
-          H.i64(Loops[I].second->Ctx.IntRegBudget);
-          H.i64(Loops[I].second->Ctx.FpRegBudget);
-          return H.digest();
-        });
-    std::unordered_map<SimKey, uint32_t, SimKeyHash> SlotOfKey;
-    for (size_t I = 0; I < Loops.size(); ++I) {
-      auto [It, IsNew] = SlotOfKey.try_emplace(
-          Keys[I], static_cast<uint32_t>(Leaders.size()));
-      if (IsNew)
-        Leaders.push_back(static_cast<uint32_t>(I));
-      LeaderSlot[I] = It->second;
-    }
-
-    // One compiled plan per class, built lazily by whichever worker needs
-    // it first — always from the class leader, so the plan (and any
-    // diagnostic it throws) is identical at every thread count. Body
-    // schedules are additionally shared *across* classes through the
-    // structural BodyCache: classes that differ only in trip counts
-    // unroll to the same post-memopt bodies.
-    std::vector<LoopSimPlan> Plans(Leaders.size());
-    std::unique_ptr<std::once_flag[]> PlanOnce(
-        new std::once_flag[Leaders.size()]);
-    auto ClassPlan = [&](uint32_t Slot) -> const LoopSimPlan & {
-      std::call_once(PlanOnce[Slot], [&] {
-        const CorpusLoop &Leader = *Loops[Leaders[Slot]].second;
-        Plans[Slot] = compileLoopSim(Leader.TheLoop, Machine, Leader.Ctx,
-                                     Options.EnableSwp, &BodyCache);
+  std::vector<LabeledLoop> Labeled =
+      parallelMap<LabeledLoop>(Loops.size(), [&](size_t I) {
+        return labelOneLoop(*Loops[I].first, *Loops[I].second, Machine,
+                            Options, BodyCache);
       });
-      return Plans[Slot];
-    };
-
-    SimCache &Cache = Options.Cache ? *Options.Cache : SimCache::global();
-
-    // One batched task per loop: derive all eight sim-cache keys from a
-    // single print of the loop, serve what the cache already holds, and
-    // evaluate the class plan under the loop's own context for the rest —
-    // inserting those results so the cache ends up with exactly the
-    // entries (same keys, same values) the unpruned sweep would produce.
-    // The heavy pipeline (unroll/memopt/schedule/liveness) runs once per
-    // class inside ClassPlan instead of once per (loop, factor).
-    std::vector<std::array<double, MaxUnrollFactor>> LoopCycles =
-        parallelMap<std::array<double, MaxUnrollFactor>>(
-            Loops.size(), [&](size_t I) {
-              const CorpusLoop &Entry = *Loops[I].second;
-              std::array<double, MaxUnrollFactor> Cycles = {};
-              if (!Cache.enabled()) {
-                const LoopSimPlan &Plan = ClassPlan(LeaderSlot[I]);
-                for (unsigned F = 1; F <= MaxUnrollFactor; ++F)
-                  Cycles[F - 1] =
-                      evaluatePlan(Plan, F, Machine, Entry.Ctx).Cycles;
-                return Cycles;
-              }
-              std::string Printed = printLoop(Entry.TheLoop);
-              std::array<SimKey, MaxUnrollFactor> SimKeys;
-              std::array<bool, MaxUnrollFactor> Hit = {};
-              unsigned Misses = 0;
-              for (unsigned F = 1; F <= MaxUnrollFactor; ++F) {
-                SimKeys[F - 1] =
-                    simCacheKey(Entry.TheLoop, Printed, F, Machine,
-                                Entry.Ctx, Options.EnableSwp);
-                if (std::optional<SimResult> Found =
-                        Cache.lookup(SimKeys[F - 1])) {
-                  Cycles[F - 1] = Found->Cycles;
-                  Hit[F - 1] = true;
-                } else {
-                  ++Misses;
-                }
-              }
-              if (Misses == 0)
-                return Cycles; // Warm cache: no plan needed at all.
-              const LoopSimPlan &Plan = ClassPlan(LeaderSlot[I]);
-              for (unsigned F = 1; F <= MaxUnrollFactor; ++F) {
-                if (Hit[F - 1])
-                  continue;
-                SimResult Result = evaluatePlan(Plan, F, Machine, Entry.Ctx);
-                Cache.insert(SimKeys[F - 1], Result);
-                Cycles[F - 1] = Result.Cycles;
-              }
-              return Cycles;
-            });
-
-    Labeled = parallelMap<LabeledLoop>(Loops.size(), [&](size_t I) {
-      return labelOneLoop(*Loops[I].first, *Loops[I].second, LoopCycles[I],
-                          Options);
-    });
-  } else {
-    // Reference path, deliberately untouched: one cachedSimulateLoop per
-    // (loop, factor) through the full pipeline. This is the baseline the
-    // bench's speedup_vs_serial rows and the identity tests compare
-    // against.
-    Leaders.resize(Loops.size());
-    for (size_t I = 0; I < Loops.size(); ++I) {
-      Leaders[I] = static_cast<uint32_t>(I);
-      LeaderSlot[I] = static_cast<uint32_t>(I);
-    }
-
-    // Phase 1: simulate each loop at every unroll factor.
-    std::vector<std::array<double, MaxUnrollFactor>> ClassCycles =
-        parallelMap<std::array<double, MaxUnrollFactor>>(
-            Leaders.size(), [&](size_t C) {
-              return simulateAllFactors(*Loops[Leaders[C]].second, Machine,
-                                        Options);
-            });
-
-    // Phase 2: label every loop from its cycles through its own noise
-    // stream and the paper's filters.
-    Labeled = parallelMap<LabeledLoop>(Loops.size(), [&](size_t I) {
-      return labelOneLoop(*Loops[I].first, *Loops[I].second,
-                          ClassCycles[LeaderSlot[I]], Options);
-    });
-  }
 
   Dataset Data;
   for (LabeledLoop &L : Labeled)
@@ -291,17 +186,14 @@ Dataset metaopt::collectLabels(const std::vector<Benchmark> &Corpus,
     *OutTotalLoops = Loops.size();
   if (OutStats) {
     OutStats->TotalLoops = Loops.size();
-    OutStats->EquivalenceClasses = Leaders.size();
-    OutStats->SimulationsRun = Leaders.size() * MaxUnrollFactor;
-    OutStats->SimulationsPruned =
-        (Loops.size() - Leaders.size()) * MaxUnrollFactor;
+    OutStats->SimulationsRun = Loops.size() * MaxUnrollFactor;
+    OutStats->SimulationsPruned = 0;
     OutStats->BodyStatsComputed = BodyCache.size();
     OutStats->BodyStatsShared = BodyCache.hits();
   }
 
   // Warm-start later processes: flush new simulation results to the
   // persistent tier (no-op for in-memory-only caches).
-  (Options.Cache ? *Options.Cache : SimCache::global())
-      .savePersistentIfDirty();
+  simCacheOf(Options).savePersistentIfDirty();
   return Data;
 }

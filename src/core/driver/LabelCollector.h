@@ -36,48 +36,29 @@ struct LabelingOptions {
   /// better than the average (1.05x) over all unroll factors".
   double MinBestVsAverage = 1.05;
   uint64_t MeasurementSeed = 0x10adedD1CEull; // Per-loop noise streams.
-  /// Simulation cache the sweep's simulateLoop calls go through; null
-  /// selects the process-global SimCache::global(). The cached and
-  /// uncached sweeps produce byte-identical datasets (cache/SimCache.h).
+  /// Simulation cache the sweep reads and fills: every (loop, factor)
+  /// result is looked up under its simCacheKey and, on a miss, computed
+  /// from the loop's compiled plan (sim/SimCompile.h) and inserted. Null
+  /// selects the process-global SimCache::global(). Cold, warm and
+  /// disabled caches produce byte-identical datasets (cache/SimCache.h).
   SimCache *Cache = nullptr;
-  /// Static pruning of the labeling space: loops with equal context-free
-  /// canonical sim keys (analysis/symbolic/Canonical.h) form an
-  /// equivalence class; the class leader is compiled ONCE into a
-  /// context-independent simulation plan (sim/SimCompile.h) and every
-  /// member evaluates that plan under its own SimContext — byte-identical
-  /// to simulating each member from scratch, per-(loop, factor) sim-cache
-  /// entries included. The context is deliberately NOT in the class key
-  /// (each corpus loop has a randomized context, so keying on it makes
-  /// every class a singleton and prunes nothing); register budgets are
-  /// folded in only under SWP, where the modulo scheduler reads them.
-  /// Measurement noise is applied per (benchmark, loop) name downstream
-  /// of the simulator, so pruned and unpruned sweeps produce
-  /// byte-identical datasets (asserted by tests/driver_test.cpp and
-  /// measured in BENCH_pipeline.json).
-  bool PruneEquivalent = true;
 };
 
-/// What the labeling-space pruner did during one collectLabels sweep.
+/// What one collectLabels sweep did.
 struct LabelingStats {
-  size_t TotalLoops = 0;         ///< Pre-filter loop count.
-  size_t EquivalenceClasses = 0; ///< Distinct canonical-sim classes.
-  size_t SimulationsRun = 0;     ///< simulateLoop requests issued.
-  size_t SimulationsPruned = 0;  ///< Requests avoided by class sharing.
-  /// Body-level structural sharing inside the compiled fast path
+  size_t TotalLoops = 0;     ///< Pre-filter loop count.
+  size_t SimulationsRun = 0; ///< (loop, factor) simulations requested.
+  /// Always 0: the sweep prunes no simulations. Kept because benchmark
+  /// reports still read and print it.
+  size_t SimulationsPruned = 0;
+  /// Body-level structural sharing inside the compiled plans
   /// (sim/SimCompile.h): unique post-memopt bodies actually scheduled,
   /// and schedule/liveness computations avoided because a structurally
-  /// identical body (same canonical structure, any trip count) was
-  /// already in the per-sweep cache. Both are 0 when PruneEquivalent is
-  /// off or every simulation was served from the sim cache.
+  /// identical body (same canonical structure, any trip count, any loop
+  /// name) was already in the per-sweep cache. Both are 0 when every
+  /// simulation was served from the sim cache.
   size_t BodyStatsComputed = 0;
   size_t BodyStatsShared = 0;
-  /// Fraction of the (loop, factor) simulation space pruned away.
-  double pruningRate() const {
-    size_t Total = SimulationsRun + SimulationsPruned;
-    return Total ? static_cast<double>(SimulationsPruned) /
-                       static_cast<double>(Total)
-                 : 0.0;
-  }
 };
 
 /// Labels one loop of \p Bench; returns the measured medians per factor.
@@ -98,7 +79,7 @@ measureLoopAtAllFactors(const Benchmark &Bench, const CorpusLoop &Entry,
 /// paper's week-of-machine-time step); each loop's noise stream comes
 /// from MeasurementSeed + its name, and examples are collected in corpus
 /// order, so the dataset is bit-identical however many threads run.
-/// \p OutStats optionally receives the pruner's statistics.
+/// \p OutStats optionally receives the sweep's statistics.
 Dataset collectLabels(const std::vector<Benchmark> &Corpus,
                       const LabelingOptions &Options,
                       size_t *OutTotalLoops = nullptr,

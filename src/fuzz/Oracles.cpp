@@ -773,10 +773,12 @@ void metaopt::oracleStaticClaims(const Loop &L, uint64_t Seed,
   SymbolicAnalysis Symbolic(L);
   checkClaimsAgainstExecution(L, Symbolic.claims(), Seed, Out);
 
-  // The labeling pruner's certificate (core/driver/LabelCollector.h):
-  // the canonical simulation form must receive the original loop's exact
-  // SimResult. Two plain factors plus one SWP probe keep the oracle cheap
-  // while still crossing every normalized dimension.
+  // The body-stats key's certificate (analysis/symbolic/Canonical.h,
+  // sim/SimCompile.h): bodies that hash to one canonical structure share
+  // their schedule and liveness, so the canonical simulation form must
+  // receive the original loop's exact SimResult. Two plain factors plus
+  // one SWP probe keep the oracle cheap while still crossing every
+  // normalized dimension.
   static const MachineModel Itanium2{itanium2Config()};
   SimContext Ctx;
   Loop Canon = canonicalSimForm(L);

@@ -34,7 +34,7 @@
 ///    guard verdicts, value ranges, cross-iteration disjointness — holds
 ///    on a traced reference execution, and the canonical simulation form
 ///    (analysis/symbolic/Canonical.h) receives the same SimResult as the
-///    original loop, validating the labeling pruner's certificate.
+///    original loop, validating the body-stats key's certificate.
 ///
 /// Oracles never abort: every violation becomes an OracleFailure so the
 /// campaign can count, minimize, and report them.

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled fast path for the labeling hot loop: simulateLoop() split
-/// into a context-independent *compile* step and a cheap per-context
-/// *evaluate* step.
+/// The compiled form of the simulator that labeling runs: simulateLoop()
+/// split into a context-independent *compile* step and a cheap
+/// per-context *evaluate* step.
 ///
 /// There is one simulator (sim/Simulator.cpp). Each factor is compiled
 /// (unroll, memory-optimize, attempt SWP, reduce the body to SimBodyStats
@@ -16,29 +16,25 @@
 /// model; only the pricing reads the SimContext's cache shares, d-cache
 /// rates and register budgets. simulateLoop runs both steps for one
 /// factor. compileLoopSim runs the compile step once for all eight
-/// factors, and the labeling sweep exploits that twice:
+/// factors of a loop, and evaluatePlan prices any factor of the
+/// resulting LoopSimPlan. collectLabels (core/driver/LabelCollector.cpp)
+/// compiles each loop whose sim-cache entries are missing once and
+/// evaluates its missing factors from the plan.
 ///
-///  1. compileLoopSim() bakes every factor into a LoopSimPlan of plain
-///     numbers; evaluatePlan() then prices any factor under any
-///     SimContext — so one sim-equivalence class
-///     (analysis/symbolic/Canonical.h) compiles one plan and evaluates it
-///     under every member's own context, byte-identically to simulating
-///     each member from scratch.
-///
-///  2. Different classes (and different factors of one class) frequently
-///     unroll to structurally identical post-memopt bodies — the unrolled
-///     body of a loop is independent of its trip metadata. The
-///     SimBodyStatsCache shares the schedule/liveness work across them,
-///     keyed by the machine and the trip-stripped canonical structure
-///     (hashCanonicalSimStructure), which is sound because nothing
-///     downstream of the memory optimizer reads trip counts.
+/// Loops, and factors of one loop, frequently unroll to structurally
+/// identical post-memopt bodies — the unrolled body of a loop is
+/// independent of its name and its trip metadata. The SimBodyStatsCache
+/// shares the schedule/liveness work across them, keyed by the machine
+/// and the trip-stripped canonical structure (hashCanonicalSimStructure),
+/// which is sound because nothing downstream of the memory optimizer
+/// reads trip counts, and the context is applied only when pricing.
 ///
 /// The exception is software pipelining: moduloSchedule() reads the
 /// context's register budgets while scheduling, so SWP attempts run at
 /// compile time under the provided context and the resulting plan is only
-/// valid for contexts with the same (IntRegBudget, FpRegBudget) pair. The
-/// labeling pruner folds the budgets into the class key when SWP is
-/// enabled (core/driver/LabelCollector.cpp).
+/// valid for contexts with the same (IntRegBudget, FpRegBudget) pair.
+/// Labeling compiles every loop under its own context; pipelined bodies
+/// never go through the body-stats cache.
 ///
 /// simulateLoop and compileLoopSim share every step, kernels included;
 /// the one thing to cross-check is the plan bookkeeping (one epilogue per
@@ -46,7 +42,7 @@
 /// compile+evaluate == simulateLoop over a corpus slice on two machines
 /// and the fuzz seeds, the fuzz `sim-cache` oracle asserts it on every
 /// campaign case, and tests/sim_golden_test.cpp pins simulateLoop's
-/// output and the kernels' own.
+/// output, the kernels' own and collectLabels' datasets.
 ///
 /// See docs/PERF.md for the design rationale and measurements.
 ///

@@ -16,6 +16,7 @@
 
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 using namespace metaopt;
@@ -34,6 +35,30 @@ LabelingOptions tinyLabeling() {
   LabelingOptions Options;
   Options.EnableSwp = false;
   return Options;
+}
+
+/// Labels \p Corpus through a fresh cold cache and returns the sweep's
+/// stats; \p OutData optionally receives the dataset.
+LabelingStats labelCold(const std::vector<Benchmark> &Corpus,
+                        Dataset *OutData = nullptr) {
+  SimCache Cold;
+  LabelingOptions Options = tinyLabeling();
+  Options.Cache = &Cold;
+  LabelingStats Stats;
+  Dataset Data = collectLabels(Corpus, Options, nullptr, &Stats);
+  if (OutData)
+    *OutData = std::move(Data);
+  return Stats;
+}
+
+/// The rows of \p Data that belong to benchmark \p Name, as CSV lines.
+std::vector<std::string> rowsOf(const Dataset &Data, const std::string &Name) {
+  std::vector<std::string> Rows;
+  std::istringstream Csv(Data.toCsv());
+  for (std::string Line; std::getline(Csv, Line);)
+    if (Line.rfind(Name + ",", 0) == 0)
+      Rows.push_back(Line);
+  return Rows;
 }
 
 } // namespace
@@ -95,52 +120,56 @@ TEST(LabelCollectorTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST(LabelCollectorTest, PruningPreservesTheDatasetAndReportsStats) {
+TEST(LabelCollectorTest, ReportsOneSimulationPerLoopAndFactor) {
   std::vector<Benchmark> Corpus = buildCorpus(tinyCorpus());
-  LabelingOptions Off = tinyLabeling();
-  Off.PruneEquivalent = false;
-  LabelingOptions On = tinyLabeling();
-  LabelingStats StatsOff, StatsOn;
-  Dataset A = collectLabels(Corpus, Off, nullptr, &StatsOff);
-  Dataset B = collectLabels(Corpus, On, nullptr, &StatsOn);
-  // The canonical-form certificate (analysis/symbolic/Canonical.h): the
-  // pruned sweep produces the byte-identical dataset.
-  EXPECT_EQ(A.toCsv(), B.toCsv());
-  EXPECT_EQ(StatsOff.SimulationsPruned, 0u);
-  EXPECT_EQ(StatsOff.EquivalenceClasses, StatsOff.TotalLoops);
-  EXPECT_EQ(StatsOn.TotalLoops, StatsOff.TotalLoops);
-  EXPECT_GE(StatsOn.EquivalenceClasses, 1u);
-  EXPECT_LE(StatsOn.EquivalenceClasses, StatsOn.TotalLoops);
-  EXPECT_EQ(StatsOn.SimulationsRun + StatsOn.SimulationsPruned,
-            StatsOn.TotalLoops * MaxUnrollFactor);
+  SimCache Cold;
+  LabelingOptions Options = tinyLabeling();
+  Options.Cache = &Cold;
+  LabelingStats Stats;
+  size_t Raw = 0;
+  collectLabels(Corpus, Options, &Raw, &Stats);
+  EXPECT_EQ(Stats.TotalLoops, Raw);
+  EXPECT_EQ(Stats.SimulationsRun, Raw * MaxUnrollFactor);
+  EXPECT_EQ(Stats.SimulationsPruned, 0u);
+  // Cold: every (loop, factor) missed once and was inserted.
+  EXPECT_EQ(Cold.stats().Misses, Stats.SimulationsRun);
+  EXPECT_EQ(Cold.stats().Inserts, Stats.SimulationsRun);
+  EXPECT_GT(Stats.BodyStatsComputed, 0u);
+
+  // Warm: every simulation is a hit, so no body is compiled.
+  LabelingStats Warm;
+  collectLabels(Corpus, Options, nullptr, &Warm);
+  EXPECT_EQ(Warm.SimulationsRun, Stats.SimulationsRun);
+  EXPECT_EQ(Warm.BodyStatsComputed, 0u);
+  EXPECT_EQ(Warm.BodyStatsShared, 0u);
 }
 
 TEST(LabelCollectorTest, EquivalentLoopsShareOneSimulationClass) {
-  // Clone a benchmark under a new name: every cloned loop is sim-
-  // equivalent to its original (the canonical form erases names), so the
-  // class count stays put while the loop count doubles.
+  // Clone a benchmark and rename it and its loops: the renamed loops
+  // miss the sim cache (its key covers the printed loop, name included),
+  // but every one unrolls to the same canonical bodies as its original
+  // (the body-stats key erases names), so the clone schedules no body of
+  // its own.
   std::vector<Benchmark> Corpus = buildCorpus(tinyCorpus());
   std::vector<Benchmark> Doubled = {Corpus[0], Corpus[0]};
   Doubled[1].Name = "clone." + Doubled[1].Name;
+  for (CorpusLoop &Entry : Doubled[1].Loops)
+    Entry.TheLoop.setName("clone." + Entry.TheLoop.name());
 
-  LabelingStats Stats;
-  collectLabels(Doubled, tinyLabeling(), nullptr, &Stats);
-  ASSERT_EQ(Stats.TotalLoops, 2 * Corpus[0].Loops.size());
-  EXPECT_LE(Stats.EquivalenceClasses, Corpus[0].Loops.size());
-  EXPECT_GE(Stats.SimulationsPruned,
-            Corpus[0].Loops.size() * MaxUnrollFactor);
-  EXPECT_GT(Stats.pruningRate(), 0.0);
+  LabelingStats Single = labelCold({Corpus[0]});
+  LabelingStats Both = labelCold(Doubled);
+  ASSERT_EQ(Both.TotalLoops, 2 * Corpus[0].Loops.size());
+  EXPECT_EQ(Both.BodyStatsComputed, Single.BodyStatsComputed);
+  EXPECT_GT(Both.BodyStatsShared, Single.BodyStatsShared);
 }
 
 TEST(LabelCollectorTest, ContextMutatedClonesStillShareClasses) {
-  // Regression for the dead-pruning bug: the class key used to fold in
-  // the per-loop SimContext, and since the corpus randomizes every
-  // loop's context, every equivalence class was a singleton (0 of 2808
-  // simulations pruned on the quick corpus). The context must stay OUT
-  // of the class key — structurally equivalent loops share one compiled
-  // plan even when their cache/budget contexts differ — while each
-  // member evaluates that plan under its own context, so the pruned
-  // sweep still matches the unpruned one byte for byte.
+  // Regression for a context-keyed sharing key: every corpus loop carries
+  // its own randomized SimContext, so a key that folds the context in
+  // shares nothing. Structurally equivalent loops must share their body
+  // stats even when their cache/budget contexts differ, while each loop
+  // is priced under its own context — so the clone's rows are exactly
+  // the rows it gets when labeled alone.
   std::vector<Benchmark> Corpus = buildCorpus(tinyCorpus());
   std::vector<Benchmark> Doubled = {Corpus[0], Corpus[0]};
   Doubled[1].Name = "ctxclone." + Doubled[1].Name;
@@ -150,18 +179,16 @@ TEST(LabelCollectorTest, ContextMutatedClonesStillShareClasses) {
     Entry.Ctx.IntRegBudget -= 4;
   }
 
-  LabelingOptions Off = tinyLabeling();
-  Off.PruneEquivalent = false;
-  LabelingStats Stats;
-  Dataset Pruned = collectLabels(Doubled, tinyLabeling(), nullptr, &Stats);
-  Dataset Unpruned = collectLabels(Doubled, Off);
-  EXPECT_EQ(Pruned.toCsv(), Unpruned.toCsv());
+  Dataset Both, Alone;
+  LabelingStats Single = labelCold({Corpus[0]});
+  LabelingStats Stats = labelCold(Doubled, &Both);
+  labelCold({Doubled[1]}, &Alone);
   ASSERT_EQ(Stats.TotalLoops, 2 * Corpus[0].Loops.size());
-  // Every mutated clone still collides with its original.
-  EXPECT_LE(Stats.EquivalenceClasses, Corpus[0].Loops.size());
-  EXPECT_GE(Stats.SimulationsPruned,
-            Corpus[0].Loops.size() * MaxUnrollFactor);
-  EXPECT_GT(Stats.pruningRate(), 0.0);
+  std::vector<std::string> CloneRows = rowsOf(Both, Doubled[1].Name);
+  EXPECT_FALSE(CloneRows.empty());
+  EXPECT_EQ(CloneRows, rowsOf(Alone, Doubled[1].Name));
+  // Every mutated clone still shares its original's bodies.
+  EXPECT_EQ(Stats.BodyStatsComputed, Single.BodyStatsComputed);
 }
 
 TEST(LabelCollectorTest, SwpConfigurationDiffers) {

@@ -40,11 +40,28 @@
 // Regeneration refuses to rewrite digests that moved under an unchanged
 // version.
 //
+//  * SimGolden.LabelDatasetsMatchPinnedDigests: collectLabels end to end
+//    (simulation at factors 1..8, measurement noise, the paper's
+//    filters, features), one 128-bit Fingerprint of Dataset::toCsv() per
+//    configuration: the quick corpus on the Itanium 2 and alternate VLIW
+//    models with SWP off and on, and a clone of the first tiny-corpus
+//    benchmark whose loops carry mutated SimContexts (halved i-cache
+//    share, 1.5x d-cache miss rate, four fewer integer registers) beside
+//    the original, SWP off and on. Pinned from the serial per-(loop,
+//    factor) simulateLoop sweep that collectLabels kept as its reference
+//    before the labeling path became one. Labels also move with feature
+//    or measurement changes, so this file carries no sim-model version
+//    and regenerates under the same variable without the version check.
+//    Data: tests/golden/label_results.txt, one line per configuration:
+//      <corpus> TAB <machine> swp-<off|on> TAB <digest>
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DependenceGraph.h"
 #include "analysis/Liveness.h"
 #include "analysis/symbolic/StrideInterval.h"
+#include "cache/SimCache.h"
+#include "core/driver/LabelCollector.h"
 #include "corpus/BenchmarkSuite.h"
 #include "import/ImportedCorpus.h"
 #include "ir/Parser.h"
@@ -68,7 +85,8 @@
 
 #if !defined(METAOPT_FUZZ_SEED_DIR) ||                                         \
     !defined(METAOPT_IMPORTED_CORPUS_DIR) ||                                   \
-    !defined(METAOPT_SIM_GOLDEN_FILE) || !defined(METAOPT_KERNEL_GOLDEN_FILE)
+    !defined(METAOPT_SIM_GOLDEN_FILE) ||                                       \
+    !defined(METAOPT_KERNEL_GOLDEN_FILE) || !defined(METAOPT_LABEL_GOLDEN_FILE)
 #error "sim_golden_test needs the fuzz seed, imported corpus and golden paths"
 #endif
 
@@ -258,11 +276,15 @@ using DescribeFn =
 
 /// Regenerates or checks one golden file. \p Lines are the fresh digest
 /// lines in input order; \p Groups is the digest-group count per line.
+/// \p PinsSimModel ties the file to SimModelVersion (header line and the
+/// regeneration check); files whose digests also move for other reasons
+/// pass false.
 void checkGolden(const std::string &Path, const std::string &Title,
                  const std::vector<std::string> &Lines, size_t Groups,
-                 const DescribeFn &Describe) {
+                 const DescribeFn &Describe, bool PinsSimModel = true) {
   std::string VersionLine =
-      "# sim-model-version " + std::to_string(SimModelVersion);
+      PinsSimModel ? "# sim-model-version " + std::to_string(SimModelVersion)
+                   : "";
   std::ifstream In(Path);
   bool Found = In.is_open();
   std::vector<std::string> Golden;
@@ -278,14 +300,16 @@ void checkGolden(const std::string &Path, const std::string &Title,
     // A digest that moves is a simulator-model change: persisted SimCache
     // files from before it must be rejected, which only a version bump
     // does.
-    ASSERT_FALSE(PinnedVersion == VersionLine && Golden != Lines)
+    ASSERT_FALSE(PinsSimModel && PinnedVersion == VersionLine &&
+                 Golden != Lines)
         << Path << ": digests moved under unchanged sim-model version "
         << SimModelVersion
         << "; bump SimModelVersion (sim/Simulator.h) before regenerating";
     std::ofstream Out(Path, std::ios::binary);
     ASSERT_TRUE(Out) << Path;
-    Out << "# " << Title << "; see tests/sim_golden_test.cpp\n"
-        << VersionLine << "\n";
+    Out << "# " << Title << "; see tests/sim_golden_test.cpp\n";
+    if (PinsSimModel)
+      Out << VersionLine << "\n";
     for (const std::string &Line : Lines)
       Out << Line << "\n";
     GTEST_SKIP() << "regenerated " << Lines.size() << " lines of " << Path;
@@ -374,4 +398,63 @@ TEST(SimGolden, KernelsMatchPinnedDigests) {
                            kernelBody(*Corpus.Inputs[I].TheLoop, U),
                            Machine));
               });
+}
+
+TEST(SimGolden, LabelDatasetsMatchPinnedDigests) {
+  const GoldenCorpus &Corpus = goldenCorpus();
+  ASSERT_TRUE(Corpus.Error.empty()) << Corpus.Error;
+
+  CorpusOptions Tiny;
+  Tiny.MinLoopsPerBenchmark = 2;
+  Tiny.MaxLoopsPerBenchmark = 3;
+  std::vector<Benchmark> Clones = {buildCorpus(Tiny)[0]};
+  Clones.push_back(Clones[0]);
+  Clones[1].Name = "ctxclone." + Clones[1].Name;
+  for (CorpusLoop &Entry : Clones[1].Loops) {
+    Entry.Ctx.EffectiveIcacheBytes /= 2;
+    Entry.Ctx.DcacheMissRate *= 1.5;
+    Entry.Ctx.IntRegBudget -= 4;
+  }
+
+  struct Config {
+    std::string Corpus;
+    const std::vector<Benchmark> *Benchmarks;
+    MachineConfig Machine;
+    bool Swp;
+  };
+  std::vector<Config> Configs;
+  for (const MachineConfig &Machine : {itanium2Config(), altVliwConfig()})
+    for (bool Swp : {false, true})
+      Configs.push_back({"quick", &Corpus.Quick, Machine, Swp});
+  for (bool Swp : {false, true})
+    Configs.push_back({"ctxclone", &Clones, itanium2Config(), Swp});
+
+  std::vector<std::string> Lines;
+  std::vector<size_t> Sizes;
+  for (const Config &C : Configs) {
+    SimCache Cold;
+    LabelingOptions Options;
+    Options.Machine = C.Machine;
+    Options.EnableSwp = C.Swp;
+    Options.Cache = &Cold;
+    Dataset Data = collectLabels(*C.Benchmarks, Options);
+    FingerprintHasher H;
+    H.str(Data.toCsv());
+    Fingerprint F = H.digest();
+    char Digest[40];
+    std::snprintf(Digest, sizeof(Digest), "%016llx%016llx",
+                  static_cast<unsigned long long>(F.Hi),
+                  static_cast<unsigned long long>(F.Lo));
+    Lines.push_back(C.Corpus + "\t" + C.Machine.Name + " swp-" +
+                    (C.Swp ? "on" : "off") + "\t" + Digest);
+    Sizes.push_back(Data.size());
+  }
+
+  checkGolden(METAOPT_LABEL_GOLDEN_FILE, "collectLabels dataset digests",
+              Lines, 1,
+              [&](size_t I, size_t, size_t) {
+                return "dataset CSV digest; now " +
+                       std::to_string(Sizes[I]) + " examples";
+              },
+              /*PinsSimModel=*/false);
 }

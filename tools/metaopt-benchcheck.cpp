@@ -13,22 +13,22 @@
 ///  * every row must parse as a flat JSON object and carry the required
 ///    keys for its experiment;
 ///  * every identity flag present must be true — any boolean key whose
-///    name contains "match" (csv_matches_serial, matches_reference,
+///    name contains "match" (csv_matches_1thread, matches_reference,
 ///    findings_match_serial, ...) is a correctness contract, not a
 ///    metric;
 ///  * every floor row in the --floor file must match at least one bench
-///    row and that row must meet the floor.
+///    row, and every row it matches must meet the floor.
 ///
 /// A floor file is the same flat-JSON-rows format. In a floor row, a
 /// key named `min_<metric>` asserts `row.<metric> >= value` and a key
 /// named `max_<metric>` asserts `row.<metric> <= value` on the matched
 /// row; every other key is an exact-match selector. So
 ///
-///   {"experiment": "labeling", "mode": "production", "threads": 4,
-///    "min_speedup_vs_serial": 1.50}
+///   {"experiment": "labeling", "threads": 4,
+///    "min_scaling_efficiency": 0.60}
 ///
-/// fails the run unless a production labeling row at 4 threads exists
-/// with speedup_vs_serial >= 1.5 (bench/perf_floor.json is the floor
+/// fails the run unless a labeling row at 4 threads exists and every such
+/// row has scaling_efficiency >= 0.6 (bench/perf_floor.json is the floor
 /// the CI bench-smoke job enforces; bench/serve_floor.json gates the
 /// serving soak, e.g. {"experiment": "serve_soak", "max_errors": 0}).
 /// Exit status: 0 clean, 1 any validation failure.
@@ -190,13 +190,10 @@ bool readRows(const std::string &Path, std::vector<Row> &Out,
 const std::map<std::string, std::vector<std::string>> &requiredKeys() {
   static const std::map<std::string, std::vector<std::string>> Schema = {
       {"labeling",
-       {"corpus", "swp", "mode", "threads", "hw_threads", "loops",
-        "usable", "seconds", "speedup_vs_serial", "csv_matches_serial",
-        "cache_hits", "cache_misses", "cache_inserts"}},
-      {"labeling_prune",
-       {"corpus", "swp", "pruned", "loops", "classes", "sims_run",
-        "sims_pruned", "pruning_rate", "seconds", "speedup_vs_unpruned",
-        "csv_matches_unpruned"}},
+       {"corpus", "swp", "threads", "hw_threads", "loops", "usable",
+        "seconds", "speedup_vs_1thread", "scaling_efficiency",
+        "csv_matches_1thread", "cache_hits", "cache_misses",
+        "cache_inserts"}},
       {"labeling_cache",
        {"phase", "seconds", "speedup_vs_cold", "cache_hits",
         "cache_misses", "cache_inserts", "cache_entries",
